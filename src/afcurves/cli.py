@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import af_invariant, contfrac, corpus, elliptic, zeta
 from .exact_linalg import (
     IntMatrix,
-    MatrixParseError,
     determinant,
     format_matrix,
     format_poly,
@@ -29,26 +28,6 @@ from .exact_linalg import (
 
 DEFAULT_SEED = 1729
 CORPUS_ENV = "AFCURVES_CORPUS"
-
-_DOMAIN_ERRORS = (
-    MatrixParseError,
-    af_invariant.NotUnimodular,
-    af_invariant.NegativeEntry,
-    af_invariant.NeverStrictlyPositive,
-    af_invariant.BadConstantTerm,
-    contfrac.NotIrrational,
-    contfrac.SurdParseError,
-    elliptic.SingularLambda,
-    elliptic.SingularCurve,
-    elliptic.PointNotOnCurve,
-    elliptic.CurveSpecError,
-    zeta.BadReduction,
-    zeta.UnsupportedCharacteristic,
-    zeta.AlphaRequired,
-    corpus.CorpusError,
-    ValueError,
-    ZeroDivisionError,
-)
 
 
 def frac_str(value) -> str:
@@ -522,7 +501,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_merge_option_values(list(argv)))
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         return _emit_error(exc, getattr(args, "format", "text"))
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from afcurves import zeta
 from afcurves.af_invariant import validate_incidence
 from afcurves.elliptic import CurveQ
 from afcurves.exact_linalg import IntMatrix, determinant, mat_pow
@@ -34,12 +35,29 @@ class TestCountPoints:
     def test_f9(self):
         assert count_points(E_CM, 3, 2) == 16
 
-    def test_enumeration_matches_recurrence(self):
-        for p in (3, 5, 7):
-            for n in (2, 3):
-                via_field = count_points_enumerated(E_CM, p, n)
-                via_trace = count_points(E_CM, p, n, enumeration_budget=1)
-                assert via_field == via_trace
+    def test_recurrence_matches_enumeration_oracle(self):
+        # every good (p, n >= 2) with p^n <= 10^4 on E_CM, and p^n <= 2000 on
+        # a non-CM curve, whose a_p is nonzero at primes = 3 (mod 4) as well
+        for e, limit, expected_pairs in (
+            (E_CM, 10**4, 39),
+            (CurveQ(-43, 166), 2000, 20),
+        ):
+            pairs = 0
+            for p in range(3, 100, 2):
+                if not is_prime(p) or e.disc % p == 0:
+                    continue
+                n = 2
+                while p**n <= limit:
+                    assert count_points(e, p, n) == count_points_enumerated(e, p, n)
+                    pairs += 1
+                    n += 1
+            assert pairs == expected_pairs
+        # compare_local takes its counts from the recurrence, not count_points
+        for p in (3, 5, 7, 13):
+            report = compare_local(E_CM, A_STD, p, 3)
+            assert report.curve_counts == tuple(
+                count_points_enumerated(E_CM, p, n) for n in (1, 2, 3)
+            )
 
     def test_characteristic_two_rejected(self):
         with pytest.raises(UnsupportedCharacteristic):
@@ -55,9 +73,11 @@ class TestCountPoints:
         with pytest.raises(ValueError):
             count_points(E_CM, 9, 1)
 
-    def test_budget_cap(self):
+    def test_enumeration_cap(self):
+        # 3^13 = 1594323 exceeds ENUMERATION_MAX; the recurrence has no cap
         with pytest.raises(ValueError):
-            count_points(E_CM, 3, 2, enumeration_budget=10**7)
+            count_points_enumerated(E_CM, 3, 13)
+        assert count_points(E_CM, 3, 13) == 3**13 + 1
 
 
 class TestTraceFrobenius:
@@ -71,6 +91,12 @@ class TestTraceFrobenius:
                 continue
             a_p = trace_frobenius(E_CM, p)
             assert a_p * a_p <= 4 * p
+
+    def test_hasse_violation_raises(self, monkeypatch):
+        # a_5 = 5 + 1 - 1 = 5 and 25 > 20: the check must hold under -O too
+        monkeypatch.setattr(zeta, "_count_points_prime_field", lambda e, p: 1)
+        with pytest.raises(RuntimeError, match="Hasse"):
+            trace_frobenius(E_CM, 5)
 
     def test_supersingular_pattern(self):
         # CM by Z[i]: every good prime p = 3 (mod 4) is supersingular
