@@ -9,6 +9,7 @@ probe harness checks empirically on random conjugates.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -50,16 +51,18 @@ class AbelianGroup:
     torsion is the divisibility chain of elementary divisors (each >= 2,
     each dividing the next, factors equal to 1 dropped); free_rank counts
     the Z summands.  Structural equality of (torsion, free_rank) is group
-    equality because this form is canonical.
+    equality because this form is canonical.  Non-integer divisors or rank
+    raise TypeError.
     """
 
     torsion: tuple
     free_rank: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", operator.index(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(g) for g in self.torsion))
+        object.__setattr__(self, "torsion", tuple(map(operator.index, self.torsion)))
         for g in self.torsion:
             if g < 2:
                 raise ValueError("elementary divisors must be >= 2")

@@ -2,9 +2,11 @@
 
 Subcommands: snf, abelianize, bowen-franks, probe, cf, torsion, jmap, zeta,
 conjecture.  Every command takes --format text|json and is deterministic for
-fixed arguments and seed; JSON output is byte-stable (sorted keys, rationals
-rendered p/q in lowest terms with positive denominator).  All numeric I/O is
-exact: integers and p/q rationals only.
+fixed arguments and seed.  Each command builds one payload of domain objects;
+`encode` turns it into JSON values, and text output is the sorted `key: value`
+rendering of the same payload.  JSON output is byte-stable (sorted keys,
+rationals rendered p/q in lowest terms with positive denominator).  All
+numeric I/O is exact: integers and p/q rationals only.
 """
 
 from __future__ import annotations
@@ -13,56 +15,85 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from . import af_invariant, contfrac, corpus, elliptic, zeta
-from .exact_linalg import (
-    IntMatrix,
-    determinant,
-    format_matrix,
-    format_poly,
-    parse_matrix,
-    parse_poly,
-    snf,
-)
+from . import af_invariant, contfrac, corpus, elliptic, exact_linalg, zeta
 
 DEFAULT_SEED = 1729
 CORPUS_ENV = "AFCURVES_CORPUS"
 
 
-def frac_str(value) -> str:
-    """Canonical rational text: lowest terms, positive denominator."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def encode(value, text: bool = False):
+    """JSON-ready form of a payload: domain leaves become strings or small
+    dicts, dataclasses become dicts of their fields, tuples become lists.
+
+    Rationals are `p/q` in lowest terms with positive denominator.  With
+    text=True, polynomials, groups and curves take their readable forms
+    (`x - 1`, `Z_2 + Z_2`, `y^2 = ...`) instead of the JSON encodings.
+    """
+    if isinstance(value, (Fraction, contfrac.QuadraticIrrational)):
+        return str(value)
+    if isinstance(value, exact_linalg.IntMatrix):
+        return exact_linalg.format_matrix(value)
+    if isinstance(value, exact_linalg.IntPolynomial):
+        return str(value) if text else exact_linalg.format_poly(value)
+    if isinstance(value, elliptic.CurveQ):
+        return str(value) if text else f"a={value.a},b={value.b}"
+    if isinstance(value, af_invariant.AbelianGroup) and text:
+        return str(value)
+    if isinstance(value, elliptic.Point):
+        return [str(value.x), str(value.y)]
+    if is_dataclass(value):  # AbelianGroup's JSON form is its two fields
+        return {f.name: encode(getattr(value, f.name), text) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: encode(item, text) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [encode(item, text) for item in value]
+    return value
 
 
-def group_dict(g: af_invariant.AbelianGroup) -> dict:
-    return {"torsion": list(g.torsion), "free_rank": g.free_rank}
+def _inline(value) -> str:
+    if isinstance(value, list):
+        return "[" + ", ".join(_inline(v) for v in value) + "]"
+    return value if isinstance(value, str) else json.dumps(value)
 
 
-def point_json(pt: elliptic.Point):
-    return [frac_str(pt.x), frac_str(pt.y)]
-
-
-def _emit(payload, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+def _text_lines(value, pad: str = ""):
+    """Sorted `key: value` lines of an encoded payload.  Dicts and lists
+    holding containers nest two spaces deeper; list items start with `- `."""
+    if isinstance(value, dict):
+        items = [(f"{key}:", value[key]) for key in sorted(value)]
     else:
-        for line in text_lines:
+        items = [("-", item) for item in value]
+    for head, item in items:
+        nested = isinstance(item, dict) or (
+            isinstance(item, list) and any(isinstance(v, (dict, list)) for v in item)
+        )
+        if not nested:
+            yield f"{pad}{head} {_inline(item)}"
+        elif head == "-" and isinstance(item, dict):
+            first, *rest = _text_lines(item, pad + "  ")
+            yield f"{pad}- {first.lstrip()}"
+            yield from rest
+        else:
+            yield f"{pad}{head}"
+            yield from _text_lines(item, pad + "  ")
+
+
+def _emit(payload, fmt: str) -> None:
+    if fmt == "json":
+        print(json.dumps(encode(payload), sort_keys=True, indent=2))
+    else:
+        for line in _text_lines(encode(payload, text=True)):
             print(line)
 
 
 def _emit_error(exc: Exception, fmt: str) -> int:
     name = type(exc).__name__
     if fmt == "json":
-        print(
-            json.dumps(
-                {"error": name, "message": str(exc)}, sort_keys=True, indent=2
-            ),
-            file=sys.stderr,
-        )
+        error = {"error": name, "message": str(exc)}
+        print(json.dumps(error, sort_keys=True, indent=2), file=sys.stderr)
     else:
         print(f"error: {name}: {exc}", file=sys.stderr)
     return 1
@@ -72,93 +103,56 @@ def _emit_error(exc: Exception, fmt: str) -> int:
 
 
 def _cmd_snf(args) -> int:
-    m = parse_matrix(args.matrix)
-    dec = snf(m)
-    payload = {
-        "matrix": format_matrix(m),
-        "diagonal": list(dec.d),
-        "p_left": format_matrix(dec.p_left),
-        "q_right": format_matrix(dec.q_right),
-        "verified": dec.verify(m),
-    }
+    m = exact_linalg.parse_matrix(args.matrix)
+    dec = exact_linalg.snf(m)
     _emit(
-        payload,
+        {
+            "matrix": m,
+            "diagonal": dec.d,
+            "p_left": dec.p_left,
+            "q_right": dec.q_right,
+            "verified": dec.verify(m),
+        },
         args.format,
-        [
-            f"matrix:   {payload['matrix']}",
-            f"diagonal: {', '.join(str(x) for x in dec.d)}",
-            f"P:        {payload['p_left']}",
-            f"Q:        {payload['q_right']}",
-            f"check P*M*Q == diag: {'ok' if payload['verified'] else 'FAILED'}",
-        ],
     )
     return 0
 
 
 def _cmd_abelianize(args) -> int:
-    m = parse_matrix(args.matrix)
-    p = parse_poly(args.poly)
-    a = af_invariant.validate_incidence(m)
-    group = af_invariant.abelianize(a, p)
-    payload = {
-        "matrix": format_matrix(m),
-        "polynomial": format_poly(p),
-        "group": group_dict(group),
-    }
-    _emit(
-        payload,
-        args.format,
-        [f"Ab_[{p}]({format_matrix(m)}) = {group}"],
-    )
+    m = exact_linalg.parse_matrix(args.matrix)
+    p = exact_linalg.parse_poly(args.poly)
+    group = af_invariant.abelianize(af_invariant.validate_incidence(m), p)
+    _emit({"matrix": m, "polynomial": p, "group": group}, args.format)
     return 0
 
 
 def _cmd_bowen_franks(args) -> int:
-    m = parse_matrix(args.matrix)
-    a = af_invariant.validate_incidence(m)
-    group = af_invariant.bowen_franks(a)
-    det = determinant(m - IntMatrix.identity(m.n))
-    payload = {
-        "matrix": format_matrix(m),
-        "group": group_dict(group),
-        "order": group.order(),
-        "det_a_minus_i": det,
-    }
+    m = exact_linalg.parse_matrix(args.matrix)
+    group = af_invariant.bowen_franks(af_invariant.validate_incidence(m))
+    det = exact_linalg.determinant(m - exact_linalg.IntMatrix.identity(m.n))
     _emit(
-        payload,
+        {"matrix": m, "group": group, "order": group.order(), "det_a_minus_i": det},
         args.format,
-        [
-            f"Bowen-Franks group of {format_matrix(m)}: {group}",
-            f"order: {group.order()}   |det(A - I)| = {abs(det)}",
-        ],
     )
     return 0
 
 
 def _cmd_probe(args) -> int:
-    m = parse_matrix(args.matrix)
-    p = parse_poly(args.poly)
-    a = af_invariant.validate_incidence(m)
+    a = af_invariant.validate_incidence(exact_linalg.parse_matrix(args.matrix))
+    p = exact_linalg.parse_poly(args.poly)
     report = af_invariant.invariance_probe(
         a, p, trials=args.trials, seed=args.seed, steps=args.steps
     )
-    payload = {
-        "matrix": format_matrix(report.matrix),
-        "polynomial": format_poly(report.polynomial),
-        "trials": report.trials,
-        "failures": report.failures,
-        "group": group_dict(report.group),
-        "seed": report.seed,
-    }
     _emit(
-        payload,
+        {
+            "matrix": report.matrix,
+            "polynomial": report.polynomial,
+            "trials": report.trials,
+            "failures": report.failures,
+            "group": report.group,
+            "seed": report.seed,
+        },
         args.format,
-        [
-            f"matrix {payload['matrix']}, polynomial {report.polynomial}, "
-            f"seed {report.seed}",
-            f"trials: {report.trials}   failures: {report.failures}",
-            f"invariant: {report.group}",
-        ],
     )
     return 0 if report.failures == 0 else 1
 
@@ -166,57 +160,33 @@ def _cmd_probe(args) -> int:
 def _cmd_cf(args) -> int:
     theta = contfrac.parse_surd(args.surd)
     cf = contfrac.expand(theta)
-    payload = {
-        "surd": str(theta),
-        "preperiod": list(cf.preperiod),
-        "period": list(cf.period),
-    }
-    lines = [
-        f"theta = {theta}",
-        f"preperiod: {list(cf.preperiod)}",
-        f"period:    {list(cf.period)}",
-    ]
+    payload = {"surd": theta, "preperiod": cf.preperiod, "period": cf.period}
     if args.matrix:
         inc = contfrac.incidence_from_period(cf)
-        payload["matrix"] = format_matrix(inc.m)
+        payload["matrix"] = inc.m
         payload["positivity_power"] = inc.positivity_power
         payload["note"] = (
             "period taken from the earliest recurring state; cyclic rotations "
             "of the period give GL_2(Z)-similar matrices"
         )
-        lines.append(f"incidence matrix: {payload['matrix']}")
-        lines.append(f"positivity power: {inc.positivity_power}")
-        lines.append(f"note: {payload['note']}")
-    _emit(payload, args.format, lines)
+    _emit(payload, args.format)
     return 0
 
 
 def _cmd_torsion(args) -> int:
     curve, model = elliptic.parse_curve_spec(args.curve)
     group, points = elliptic.torsion_subgroup(curve)
-    affine = [pt for pt in points if not pt.is_infinity]
     payload = {
-        "curve": f"a={curve.a},b={curve.b}",
-        "j": frac_str(curve.j_invariant()),
-        "group": group_dict(group),
-        "points": [point_json(pt) for pt in affine],
+        "curve": curve,
+        "j": curve.j_invariant(),
+        "group": group,
+        "points": [pt for pt in points if not pt.is_infinity],
         "includes_infinity": True,
     }
-    lines = [
-        f"curve: {curve}   (j = {payload['j']})",
-        f"torsion subgroup: {group}  (order {group.order()})",
-        "points: infinity"
-        + "".join(f", ({frac_str(pt.x)}, {frac_str(pt.y)})" for pt in affine),
-    ]
     if model is not None:
-        payload["lambda"] = frac_str(model.lam)
-        payload["model"] = {"u": model.u, "shift": frac_str(model.shift)}
-        lines.insert(
-            0,
-            f"lambda = {frac_str(model.lam)} -> integral model via "
-            f"x -> u^2(x - {frac_str(model.shift)}), u = {model.u}",
-        )
-    _emit(payload, args.format, lines)
+        payload["lambda"] = model.lam
+        payload["model"] = {"u": model.u, "shift": model.shift}
+    _emit(payload, args.format)
     return 0
 
 
@@ -224,79 +194,38 @@ def _cmd_jmap(args) -> int:
     spec = args.spec.strip()
     if spec.startswith("lambda="):
         lam = Fraction(spec[len("lambda=") :])
-        j = elliptic.j_from_lambda(lam)
-        orbit = sorted(elliptic.lambda_orbit(lam))
         payload = {
-            "lambda": frac_str(lam),
-            "j": frac_str(j),
-            "orbit": [frac_str(x) for x in orbit],
+            "lambda": lam,
+            "j": elliptic.j_from_lambda(lam),
+            "orbit": sorted(elliptic.lambda_orbit(lam)),
         }
-        _emit(
-            payload,
-            args.format,
-            [
-                f"j(E_{frac_str(lam)}) = {frac_str(j)}",
-                f"orbit ({len(orbit)} values): "
-                + ", ".join(frac_str(x) for x in orbit),
-            ],
-        )
-        return 0
-    if spec.startswith("j="):
+    elif spec.startswith("j="):
         j = Fraction(spec[len("j=") :])
-        lambdas = elliptic.rational_lambdas_from_j(j)
-        payload = {
-            "j": frac_str(j),
-            "lambdas": [frac_str(x) for x in lambdas],
-        }
-        _emit(
-            payload,
-            args.format,
-            [
-                f"rational lambda with j = {frac_str(j)}: "
-                + (", ".join(frac_str(x) for x in lambdas) if lambdas else "none")
-            ],
+        payload = {"j": j, "lambdas": elliptic.rational_lambdas_from_j(j)}
+    else:
+        raise elliptic.CurveSpecError(
+            f"cannot parse jmap spec {spec!r}; expected lambda=<rational> or j=<rational>"
         )
-        return 0
-    raise elliptic.CurveSpecError(
-        f"cannot parse jmap spec {spec!r}; expected lambda=<rational> or j=<rational>"
-    )
-
-
-def _zeta_report_json(report: zeta.LocalZetaReport) -> dict:
-    return {
-        "prime": report.prime,
-        "curve_counts": list(report.curve_counts),
-        "a_p": report.a_p,
-        "curve_factor": {
-            "numerator": list(report.curve_factor.numerator),
-            "denominator": list(report.curve_factor.denominator),
-        },
-        "operator_counts": list(report.operator_counts),
-        "operator_params": {
-            "trace_power": report.operator_params.trace_power,
-            "branch": report.operator_params.branch,
-            "alpha": report.operator_params.alpha,
-        },
-        "match_flags": list(report.match_flags),
-    }
+    _emit(payload, args.format)
+    return 0
 
 
 def _cmd_zeta(args) -> int:
     curve, _model = elliptic.parse_curve_spec(args.curve)
-    m = parse_matrix(args.matrix)
+    m = exact_linalg.parse_matrix(args.matrix)
     a = af_invariant.validate_incidence(m)
     primes = sorted({int(tok) for tok in args.primes.split(",") if tok.strip()})
     payload = []
-    lines = []
     for p in primes:
         if not zeta.is_prime(p):
             payload.append(
                 {"prime": p, "error": "ValueError", "message": f"{p} is not prime"}
             )
-            lines.append(f"p={p}: error: not a prime")
             continue
         try:
-            report = zeta.compare_local(curve, a, p, args.order, alpha=args.alpha)
+            payload.append(
+                zeta.compare_local(curve, a, p, args.order, alpha=args.alpha)
+            )
         except (
             zeta.BadReduction,
             zeta.UnsupportedCharacteristic,
@@ -305,51 +234,35 @@ def _cmd_zeta(args) -> int:
             payload.append(
                 {"prime": p, "error": type(exc).__name__, "message": str(exc)}
             )
-            lines.append(f"p={p}: error: {type(exc).__name__}: {exc}")
-            continue
-        payload.append(_zeta_report_json(report))
-        lines.append(
-            f"p={p}: a_p={report.a_p}  branch={report.operator_params.branch}"
-        )
-        lines.append(f"  curve counts:    {list(report.curve_counts)}")
-        lines.append(f"  operator counts: {list(report.operator_counts)}")
-        lines.append(f"  match flags:     {list(report.match_flags)}")
-    _emit(payload, args.format, lines)
+    _emit(payload, args.format)
     return 0
 
 
-def _conjecture_report_json(report: corpus.ConjectureReport) -> dict:
+def _conjecture_row(report: corpus.ConjectureReport) -> dict:
     entry = report.entry
     if isinstance(entry, corpus.InvalidEntry):
         return {"label": entry.label, "error": entry.error}
-    out: dict = {"label": entry.label}
+    row: dict = {"label": entry.label}
     if entry.lam is not None:
-        out["lambda"] = frac_str(entry.lam)
+        row["lambda"] = entry.lam
     else:
-        out["a"], out["b"] = entry.ab
+        row["a"], row["b"] = entry.ab
     if entry.theta is not None:
-        out["theta"] = str(entry.theta)
+        row["theta"] = entry.theta
     else:
-        out["matrix"] = format_matrix(entry.matrix)
+        row["matrix"] = entry.matrix
     if report.error is not None:
-        out["error"] = report.error
-        return out
-    out["j"] = frac_str(report.j_invariant)
-    out["curve"] = f"a={report.curve.a},b={report.curve.b}"
-    out["incidence"] = format_matrix(report.incidence.m)
-    out["computed_torsion"] = group_dict(report.computed_torsion)
+        row["error"] = report.error
+        return row
+    row["j"] = report.j_invariant
+    row["curve"] = report.curve
+    row["incidence"] = report.incidence.m
+    row["computed_torsion"] = report.computed_torsion
     if entry.expected_torsion is not None:
-        out["expected_torsion"] = group_dict(entry.expected_torsion)
-        out["expected_match"] = report.expected_match
-    out["invariants"] = [
-        {
-            "polynomial": format_poly(v.polynomial),
-            "group": group_dict(v.group),
-            "verdict": v.verdict,
-        }
-        for v in report.verdicts
-    ]
-    return out
+        row["expected_torsion"] = entry.expected_torsion
+        row["expected_match"] = report.expected_match
+    row["invariants"] = report.verdicts
+    return row
 
 
 def _cmd_conjecture(args) -> int:
@@ -358,31 +271,8 @@ def _cmd_conjecture(args) -> int:
         raise corpus.CorpusError(
             f"no corpus file given and ${CORPUS_ENV} is not set"
         )
-    entries = corpus.load_corpus(path)
-    reports = corpus.run_corpus(entries)
-    payload = [_conjecture_report_json(r) for r in reports]
-    lines = []
-    for r in reports:
-        label = r.entry.label
-        if r.error is not None:
-            lines.append(f"[{label}] error: {r.error}")
-            continue
-        lines.append(f"[{label}]")
-        lines.append(f"  curve: {r.curve}   j = {frac_str(r.j_invariant)}")
-        lines.append(
-            f"  incidence: {format_matrix(r.incidence.m)} "
-            f"(positivity power {r.incidence.positivity_power})"
-        )
-        expected = ""
-        if r.entry.expected_torsion is not None:
-            expected = (
-                f"   expected: {r.entry.expected_torsion} "
-                f"[{'ok' if r.expected_match else 'MISMATCH'}]"
-            )
-        lines.append(f"  torsion: {r.computed_torsion}{expected}")
-        for v in r.verdicts:
-            lines.append(f"  Ab at {v.polynomial}: {v.group}   verdict: {v.verdict}")
-    _emit(payload, args.format, lines)
+    reports = corpus.run_corpus(corpus.load_corpus(path))
+    _emit([_conjecture_row(r) for r in reports], args.format)
     failed = any(r.expected_match is False for r in reports)
     return 1 if failed else 0
 

@@ -163,9 +163,7 @@ def _parse_expected(raw) -> AbelianGroup | None:
     if raw is None or raw == "":
         return None
     if isinstance(raw, dict):
-        return AbelianGroup(
-            tuple(raw.get("torsion", ())), int(raw.get("free_rank", 0))
-        )
+        return AbelianGroup(tuple(raw.get("torsion", ())), raw.get("free_rank", 0))
     text = str(raw).strip()
     if text.lower() == "trivial":
         return AbelianGroup(())
@@ -203,16 +201,17 @@ def load_corpus(path: str) -> list:
     label, lambda, theta, poly, expected (and optionally a, b, matrix).
 
     Records that fail validation become InvalidEntry placeholders so one
-    bad row cannot abort a batch run.
+    bad row cannot abort a batch run.  A file that cannot be read raises
+    CorpusError.
     """
-    if str(path).lower().endswith(".csv"):
-        with open(path, newline="") as fh:
-            records = list(csv.DictReader(fh))
-    else:
-        with open(path) as fh:
-            records = json.load(fh)
-        if not isinstance(records, list):
-            raise CorpusError("corpus JSON must be an array of entries")
+    is_csv = str(path).lower().endswith(".csv")
+    try:
+        with open(path, newline="" if is_csv else None) as fh:
+            records = list(csv.DictReader(fh)) if is_csv else json.load(fh)
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus file: {exc}") from None
+    if not is_csv and not isinstance(records, list):
+        raise CorpusError("corpus JSON must be an array of entries")
     entries = []
     for record in records:
         try:

@@ -122,7 +122,8 @@ def rational_lambdas_from_j(j) -> list:
                 if value == 0:
                     roots.add(Fraction(pn, q))
     out = sorted(roots)
-    assert all(j_from_lambda(r) == j for r in out)
+    if any(j_from_lambda(r) != j for r in out):
+        raise RuntimeError(f"a root of the lambda sextic for j = {j} maps to another j")
     return out
 
 
@@ -331,9 +332,12 @@ def torsion_subgroup(e: CurveQ):
         exponent = exponent * k // gcd(exponent, k)
     if exponent == n:
         group = AbelianGroup((n,) if n > 1 else ())
-    else:
-        assert n == 2 * exponent
+    elif n == 2 * exponent:
         group = AbelianGroup((2, exponent))
+    else:
+        raise RuntimeError(
+            f"{n} torsion points with exponent {exponent} fit no group over Q"
+        )
     ordered = sorted(points, key=lambda pt: (not pt.is_infinity, pt.x, pt.y))
     return group, ordered
 

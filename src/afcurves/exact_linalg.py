@@ -9,6 +9,7 @@ floating point and no entry-size limit anywhere in this module.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -19,12 +20,16 @@ class MatrixParseError(ValueError):
 
 
 class IntMatrix:
-    """Dense square matrix of exact integers, immutable after construction."""
+    """Dense square matrix of exact integers, immutable after construction.
+
+    Entries must be integers (anything `operator.index` accepts); a float or
+    Fraction raises TypeError instead of being truncated.
+    """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         n = len(rows)
         if n == 0:
             raise ValueError("matrix must have dimension >= 1")
@@ -114,13 +119,14 @@ class IntPolynomial:
     """Integer polynomial, coefficients stored constant-first.
 
     coeffs[k] is the coefficient of x^k; trailing zeros are stripped so the
-    leading coefficient is nonzero except for the zero polynomial ().
+    leading coefficient is nonzero except for the zero polynomial ().  A
+    non-integer coefficient raises TypeError.
     """
 
     coeffs: tuple
 
     def __init__(self, coeffs):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = list(map(operator.index, coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -286,7 +292,8 @@ def snf(m: IntMatrix) -> SmithDecomposition:
 
     d = tuple(a[i][i] for i in range(n))
     result = SmithDecomposition(d, IntMatrix(p), IntMatrix(q))
-    assert result.verify(m)
+    if not result.verify(m):
+        raise RuntimeError("Smith form certificate P*M*Q == diag(d) failed to verify")
     return result
 
 
@@ -397,7 +404,8 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
             minor = m.submatrix(rows, cols)
             adj[j][i] = (-1) ** (i + j) * determinant(minor)
     inv = IntMatrix(adj).scale(det)
-    assert inv @ m == IntMatrix.identity(n)
+    if inv @ m != IntMatrix.identity(n):
+        raise RuntimeError("adjugate inverse failed inv @ m == I")
     return inv
 
 

@@ -230,7 +230,8 @@ def curve_local_zeta(e, p: int, order: int) -> ZetaSeries:
         return total
 
     closed = tuple(_closed(k) for k in range(order + 1))
-    assert all(x == y for x, y in zip(exp_coeffs, closed))
+    if any(x != y for x, y in zip(exp_coeffs, closed)):
+        raise RuntimeError(f"exp and closed zeta coefficients differ at p = {p}")
     return ZetaSeries(
         prime=p,
         a_p=a_p,

@@ -57,6 +57,12 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup((1, 2))
 
+    def test_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            AbelianGroup((2.5,))
+        with pytest.raises(TypeError):
+            AbelianGroup((2,), free_rank=0.5)
+
     def test_str(self):
         assert str(AbelianGroup((2, 2))) == "Z_2 + Z_2"
         assert str(AbelianGroup(())) == "trivial"

@@ -252,6 +252,13 @@ class TestConjectureCommand:
         code, out, err = run_cli(capsys, "conjecture")
         assert code == 1
 
+    def test_missing_corpus_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "conjecture", str(tmp_path / "absent.json"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: CorpusError: ")
+        assert err.count("\n") == 1
+
     def test_empty_corpus(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]")
@@ -324,13 +331,28 @@ class TestConjectureCommand:
         assert payload[1]["invariants"][0]["verdict"] == "match"
 
 
-def test_json_outputs_are_byte_stable(capsys):
-    for argv in (
-        ["snf", "4,2;2,0"],
-        ["torsion", "lambda=-1"],
-        ["zeta", "lambda=-1", "5,2;2,1", "--primes", "3,5", "--order", "2"],
-        ["conjecture", BUNDLED],
-    ):
-        _, out1, _ = run_cli(capsys, *argv, "--format", "json")
-        _, out2, _ = run_cli(capsys, *argv, "--format", "json")
-        assert out1 == out2
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+
+def test_json_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
+    """Every golden argv reproduces its recorded JSON stdout, stderr and exit
+    code, and in text mode (the same argv without `--format json`) its exit
+    code and stderr.  `{root}` stands for the repository root and `{corpus}`
+    for a file holding the case's inline `corpus` array."""
+    monkeypatch.delenv("AFCURVES_CORPUS", raising=False)
+    root = str(Path(__file__).resolve().parent.parent)
+    corpus_path = tmp_path / "corpus.json"
+    for case in json.loads(GOLDEN.read_text()):
+        if "corpus" in case:
+            corpus_path.write_text(json.dumps(case["corpus"]))
+        argv = [
+            tok.replace("{root}", root).replace("{corpus}", str(corpus_path))
+            for tok in case["argv"]
+        ]
+        i = argv.index("--format")
+        text_argv = argv[:i] + argv[i + 2 :]
+        assert run_cli(capsys, *argv) == (
+            case["code"], case["stdout"], case["stderr"]
+        ), case["argv"]
+        code, _, err = run_cli(capsys, *text_argv)
+        assert (code, err) == (case["text_code"], case["text_stderr"]), case["argv"]

@@ -177,6 +177,29 @@ class TestLoadCorpus:
         assert report.computed_torsion == AbelianGroup((2, 2))
         assert report.verdicts[0].verdict == "match"
 
+    def test_float_expected_torsion_becomes_invalid_entry(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {
+                        "label": "float torsion",
+                        "lambda": "-1",
+                        "matrix": "5,2;2,1",
+                        "polynomials": ["-1,1"],
+                        "expected_torsion": {"torsion": [4.9], "free_rank": 0},
+                    }
+                ]
+            )
+        )
+        (entry,) = load_corpus(str(path))
+        assert isinstance(entry, InvalidEntry)
+        assert entry.error.startswith("TypeError")
+
+    def test_missing_file_is_corpus_error(self, tmp_path):
+        with pytest.raises(CorpusError, match="cannot read corpus file"):
+            load_corpus(str(tmp_path / "absent.json"))
+
     def test_non_array_json_rejected(self, tmp_path):
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps({"label": "x"}))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,15 @@ def square_matrices(max_n=4, max_entry=20):
             max_size=n,
         ).map(IntMatrix)
     )
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("bad", [2.7, Fraction(5, 2), Fraction(2)])
+    def test_non_integers_raise_instead_of_truncating(self, bad):
+        with pytest.raises(TypeError):
+            IntMatrix([[bad, 1], [1, 1]])
+        with pytest.raises(TypeError):
+            IntPolynomial([bad, 2])
 
 
 class TestSnf:

@@ -1,0 +1,33 @@
+"""Runtime self-checks are explicit raises, so they still run under `python -O`."""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from afcurves import elliptic, exact_linalg
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "afcurves"
+
+
+def test_no_assert_statements_in_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_snf_certificate_failure_raises(monkeypatch):
+    monkeypatch.setattr(exact_linalg.SmithDecomposition, "verify", lambda self, m: False)
+    with pytest.raises(RuntimeError, match="certificate"):
+        exact_linalg.snf(exact_linalg.IntMatrix([[4, 2], [2, 0]]))
+
+
+def test_lambda_root_check_raises(monkeypatch):
+    monkeypatch.setattr(elliptic, "j_from_lambda", lambda lam: Fraction(0))
+    with pytest.raises(RuntimeError, match="maps to another j"):
+        elliptic.rational_lambdas_from_j(Fraction(1728))
