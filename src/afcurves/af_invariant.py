@@ -21,7 +21,6 @@ from .exact_linalg import (
     mat_poly_eval,
     random_glnz,
     snf,
-    unimodular_inverse,
 )
 
 
@@ -117,25 +116,28 @@ class IncidenceMatrix:
         return self.m.n
 
 
-def validate_incidence(m: IntMatrix, power_bound: int | None = None) -> IncidenceMatrix:
+def validate_incidence(m: IntMatrix) -> IncidenceMatrix:
     """Wrap m as an IncidenceMatrix, or reject it.
 
-    Raises NegativeEntry, NotUnimodular, or NeverStrictlyPositive (the last
-    when no power up to power_bound, default 2*n^2, is strictly positive).
+    Raises NegativeEntry, NotUnimodular, or NeverStrictlyPositive.  Powers
+    run on the zero pattern of m (row i of m^k as the set of its nonzero
+    columns) up to Wielandt's bound (n - 1)^2 + 1, the power at which every
+    primitive n x n matrix is strictly positive.
     """
     if not m.is_nonnegative():
         raise NegativeEntry(f"incidence matrix entries must be nonnegative: {m.rows}")
     if not is_unimodular(m):
         raise NotUnimodular(f"|det| must be 1, got det = {determinant(m)}")
-    if power_bound is None:
-        power_bound = 2 * m.n * m.n
-    power = m
-    for k in range(1, power_bound + 1):
-        if power.is_strictly_positive():
+    n = m.n
+    successors = [{j for j, x in enumerate(row) if x} for row in m.rows]
+    power = successors
+    bound = (n - 1) ** 2 + 1
+    for k in range(1, bound + 1):
+        if all(len(row) == n for row in power):
             return IncidenceMatrix(m, k)
-        power = power @ m
+        power = [set().union(*(successors[j] for j in row)) for row in power]
     raise NeverStrictlyPositive(
-        f"no power up to {power_bound} is strictly positive; matrix is not primitive"
+        f"no power up to {bound} is strictly positive; matrix is not primitive"
     )
 
 
@@ -189,9 +191,9 @@ def invariance_probe(
 ) -> ProbeReport:
     """Check Z^n/p(A')Z^n = Z^n/p(A)Z^n over random conjugates A' = B A B^-1.
 
-    B is drawn from random_glnz, so |det B| = 1 and the exact inverse comes
-    from the adjugate.  The conjugate may have negative entries; the
-    quotient group is still defined and must match.
+    B and its exact inverse come together from random_glnz.  The conjugate
+    may have negative entries; the quotient group is still defined and must
+    match.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -200,8 +202,8 @@ def invariance_probe(
     failures = 0
     mismatches = []
     for trial in range(trials):
-        b = random_glnz(a.n, steps=steps, seed=rng.randrange(2**63))
-        conjugate = (b @ a.m) @ unimodular_inverse(b)
+        b, b_inv = random_glnz(a.n, steps=steps, seed=rng.randrange(2**63))
+        conjugate = (b @ a.m) @ b_inv
         group = quotient_group(conjugate, p)
         if group != base:
             failures += 1

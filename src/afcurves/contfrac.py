@@ -10,6 +10,7 @@ not yet strictly positive (period length 1).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,8 @@ class QuadraticIrrational:
 
     Canonical means q_den divides d_rad - p_num**2, which the constructor
     arranges by scaling all three fields; the value is unchanged.  d_rad
-    must be positive and not a perfect square.
+    must be positive and not a perfect square.  A non-integer field raises
+    TypeError.
     """
 
     p_num: int
@@ -41,7 +43,7 @@ class QuadraticIrrational:
     q_den: int
 
     def __post_init__(self):
-        p, d, q = int(self.p_num), int(self.d_rad), int(self.q_den)
+        p, d, q = map(operator.index, (self.p_num, self.d_rad, self.q_den))
         if q == 0:
             raise ZeroDivisionError("denominator must be nonzero")
         if d <= 0 or isqrt(d) ** 2 == d:
@@ -98,14 +100,15 @@ class PeriodicCF:
 
     The period is the minimal repeating block; every quotient after the
     first is >= 1 (the leading one may be any integer, negative included).
+    A non-integer quotient raises TypeError.
     """
 
     preperiod: tuple
     period: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(int(a) for a in self.preperiod))
-        object.__setattr__(self, "period", tuple(int(a) for a in self.period))
+        object.__setattr__(self, "preperiod", tuple(map(operator.index, self.preperiod)))
+        object.__setattr__(self, "period", tuple(map(operator.index, self.period)))
         if not self.period:
             raise ValueError("period must be nonempty")
         for a in self.preperiod[1:]:

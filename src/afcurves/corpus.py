@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,12 +171,17 @@ def _parse_expected(raw) -> AbelianGroup | None:
     return AbelianGroup(tuple(int(x) for x in text.split(",")))
 
 
+def _int_cell(value) -> int:
+    """An integer from a CSV string cell or a JSON number; a float raises."""
+    return int(value) if isinstance(value, str) else operator.index(value)
+
+
 def _entry_from_mapping(record: dict) -> CorpusEntry:
     label = str(record.get("label", ""))
     lam = record.get("lambda")
     ab = None
     if "a" in record and "b" in record:
-        ab = (int(record["a"]), int(record["b"]))
+        ab = (_int_cell(record["a"]), _int_cell(record["b"]))
     theta = record.get("theta")
     matrix = record.get("matrix")
     polys = record.get("polynomials")

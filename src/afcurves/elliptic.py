@@ -9,6 +9,7 @@ Lutz-Nagell candidate enumeration.  All arithmetic is exact (Fraction).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -129,13 +130,18 @@ def rational_lambdas_from_j(j) -> list:
 
 @dataclass(frozen=True)
 class CurveQ:
-    """Integral short Weierstrass curve y^2 = x^3 + a x + b, nonsingular."""
+    """Integral short Weierstrass curve y^2 = x^3 + a x + b, nonsingular.
+
+    a and b must be integers; a float or Fraction raises TypeError.
+    """
 
     a: int
     b: int
     disc: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "a", operator.index(self.a))
+        object.__setattr__(self, "b", operator.index(self.b))
         disc = -16 * (4 * self.a**3 + 27 * self.b**2)
         if disc == 0:
             raise SingularCurve(f"discriminant vanishes for a={self.a}, b={self.b}")

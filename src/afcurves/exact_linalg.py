@@ -1,6 +1,6 @@
 """Exact integer matrix arithmetic: Smith normal form with unimodular
 transform certificates, fraction-free determinants, polynomial evaluation
-at a matrix, and a seeded GL_n(Z) generator for property testing.
+at a matrix, and a seeded GL_n(Z) generator of (B, B^-1) pairs.
 
 Everything runs on Python's arbitrary-precision integers; there is no
 floating point and no entry-size limit anywhere in this module.
@@ -95,14 +95,8 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-a for a in r] for r in self.rows])
 
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * a for a in r] for r in self.rows])
-
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.rows)))
 
     def is_strictly_positive(self) -> bool:
         return all(a >= 1 for row in self.rows for a in row)
@@ -196,40 +190,6 @@ class SmithDecomposition:
         return all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
 
 
-# ---------------------------------------------------------------------------
-# elementary row/column operations on a mutable working copy,
-# mirrored into transform accumulators
-
-
-def _swap_rows(a, p, i, j):
-    a[i], a[j] = a[j], a[i]
-    p[i], p[j] = p[j], p[i]
-
-
-def _negate_row(a, p, i):
-    a[i] = [-x for x in a[i]]
-    p[i] = [-x for x in p[i]]
-
-
-def _addmul_row(a, p, dst, src, k):
-    a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-    p[dst] = [x + k * y for x, y in zip(p[dst], p[src])]
-
-
-def _swap_cols(a, q, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in q:
-        row[i], row[j] = row[j], row[i]
-
-
-def _addmul_col(a, q, dst, src, k):
-    for row in a:
-        row[dst] += k * row[src]
-    for row in q:
-        row[dst] += k * row[src]
-
-
 def snf(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms: returns (d, P, Q) with PMQ = diag(d).
 
@@ -253,18 +213,26 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                         pivot = (i, j)
             if pivot is None:
                 break  # remaining block is zero; trailing diagonal stays 0
-            if pivot[0] != t:
-                _swap_rows(a, p, t, pivot[0])
-            if pivot[1] != t:
-                _swap_cols(a, q, t, pivot[1])
+            # each row step on a is mirrored into p, each column step into q
+            i, j = pivot
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+                p[t], p[i] = p[i], p[t]
+            if j != t:
+                for row in a + q:
+                    row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
-                _negate_row(a, p, t)
+                a[t], p[t] = [-x for x in a[t]], [-x for x in p[t]]
             for r in range(t + 1, n):
                 if a[r][t] != 0:
-                    _addmul_row(a, p, r, t, -(a[r][t] // a[t][t]))
+                    k = -(a[r][t] // a[t][t])
+                    a[r] = [x + k * y for x, y in zip(a[r], a[t])]
+                    p[r] = [x + k * y for x, y in zip(p[r], p[t])]
             for c in range(t + 1, n):
                 if a[t][c] != 0:
-                    _addmul_col(a, q, c, t, -(a[t][c] // a[t][t]))
+                    k = -(a[t][c] // a[t][t])
+                    for row in a + q:
+                        row[c] += k * row[t]
             if all(a[r][t] == 0 for r in range(t + 1, n)) and all(
                 a[t][c] == 0 for c in range(t + 1, n)
             ):
@@ -384,28 +352,17 @@ def mat_poly_eval(p: IntPolynomial, m: IntMatrix) -> IntMatrix:
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix via the adjugate.
+    """Exact inverse of a unimodular matrix, read off its Smith certificate.
 
-    For det(m) = +-1 the inverse is det(m) * adj(m), so no rational
-    arithmetic is needed.
+    For |det(m)| = 1 every elementary divisor is 1, so P * m * Q = I and
+    m^-1 = Q * P.
     """
-    det = determinant(m)
-    if abs(det) != 1:
+    dec = snf(m)
+    if any(x != 1 for x in dec.d):
         raise ValueError("matrix is not unimodular")
-    n = m.n
-    if n == 1:
-        return IntMatrix([[det]])
-    idx = range(n)
-    adj = [[0] * n for _ in range(n)]
-    for i in idx:
-        rows = [r for r in idx if r != i]
-        for j in idx:
-            cols = [c for c in idx if c != j]
-            minor = m.submatrix(rows, cols)
-            adj[j][i] = (-1) ** (i + j) * determinant(minor)
-    inv = IntMatrix(adj).scale(det)
-    if inv @ m != IntMatrix.identity(n):
-        raise RuntimeError("adjugate inverse failed inv @ m == I")
+    inv = dec.q_right @ dec.p_left
+    if inv @ m != IntMatrix.identity(m.n):
+        raise RuntimeError("Smith inverse failed inv @ m == I")
     return inv
 
 
@@ -427,32 +384,41 @@ def determinantal_divisors(m: IntMatrix) -> list:
     return out
 
 
-def random_glnz(n: int, steps: int = 20, seed: int = 0) -> IntMatrix:
-    """Seeded product of `steps` random elementary matrices in GL_n(Z).
+def random_glnz(n: int, steps: int = 20, seed: int = 0) -> tuple:
+    """Seeded (B, B^-1), B a product of `steps` random elementary matrices.
 
-    Steps are row swaps, row negations, and row additions with multiplier
-    bounded by |k| <= 3; the result is always unimodular and identical for
-    identical seeds.
+    Row swaps, negations, and additions with |k| <= 3 build B; each row step
+    E on B is mirrored by the column step E^-1 on B^-1.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
-    a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    dummy = [[0] * n for _ in range(n)]
+    b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in b]
     for _ in range(steps):
         op = rng.randrange(3) if n > 1 else 1
         if op == 0:
             i, j = rng.sample(range(n), 2)
-            _swap_rows(a, dummy, i, j)
+            b[i], b[j] = b[j], b[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
         elif op == 1:
-            _negate_row(a, dummy, rng.randrange(n))
+            i = rng.randrange(n)
+            b[i] = [-x for x in b[i]]
+            for row in inv:
+                row[i] = -row[i]
         else:
             i, j = rng.sample(range(n), 2)
             k = rng.choice([-3, -2, -1, 1, 2, 3])
-            _addmul_row(a, dummy, i, j, k)
-    return IntMatrix(a)
+            b[i] = [x + k * y for x, y in zip(b[i], b[j])]
+            for row in inv:
+                row[j] -= k * row[i]
+    b, inv = IntMatrix(b), IntMatrix(inv)
+    if b @ inv != IntMatrix.identity(n):
+        raise RuntimeError("replayed inverse failed B @ B^-1 == I")
+    return b, inv
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,13 @@ def operator_local_zeta_counts(
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if is_bad_prime(a, p):
+    bad = is_bad_prime(a, p)
+    return _operator_counts(None if bad else mat_pow(a.m, p).trace(), p, order, alpha)
+
+
+def _operator_counts(trace_power: int | None, p: int, order: int, alpha) -> list:
+    """operator_local_zeta_counts from tr(A^p), or None on the bad branch."""
+    if trace_power is None:
         if alpha is None:
             raise AlphaRequired(
                 f"p = {p} divides tr(A)^2 - 4; choose alpha in {{-1, 0, 1}}"
@@ -277,13 +283,7 @@ def operator_local_zeta_counts(
         if alpha not in (-1, 0, 1):
             raise ValueError("alpha must be -1, 0, or 1")
         return [abs(1 - alpha**n) for n in range(1, order + 1)]
-    t = mat_pow(a.m, p).trace()
-    out = []
-    s_prev, s = 2, t
-    for n in range(1, order + 1):
-        out.append(abs(1 - s + p**n))
-        s_prev, s = s, t * s - p * s_prev
-    return out
+    return [abs(c) for c in _curve_counts(trace_power, p, order)]
 
 
 @dataclass(frozen=True)
@@ -329,8 +329,11 @@ def compare_local(
         raise ValueError("order must be >= 0")
     a_p = trace_frobenius(e, p)
     curve_counts = tuple(_curve_counts(a_p, p, order))
-    operator_counts = tuple(operator_local_zeta_counts(a, p, order, alpha))
-    branch = "bad" if is_bad_prime(a, p) else "good"
+    trace_power = mat_pow(a.m, p).trace()
+    bad = is_bad_prime(a, p)
+    operator_counts = tuple(
+        _operator_counts(None if bad else trace_power, p, order, alpha)
+    )
     return LocalZetaReport(
         prime=p,
         curve_counts=curve_counts,
@@ -340,9 +343,9 @@ def compare_local(
         ),
         operator_counts=operator_counts,
         operator_params=OperatorParams(
-            trace_power=mat_pow(a.m, p).trace(),
-            branch=branch,
-            alpha=alpha if branch == "bad" else None,
+            trace_power=trace_power,
+            branch="bad" if bad else "good",
+            alpha=alpha if bad else None,
         ),
         match_flags=tuple(
             c == o for c, o in zip(curve_counts, operator_counts)

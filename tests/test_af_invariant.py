@@ -20,11 +20,46 @@ from afcurves.exact_linalg import (
     determinant,
     mat_poly_eval,
     random_glnz,
-    unimodular_inverse,
 )
 
 A_STD = IntMatrix([[5, 2], [2, 1]])
 X_MINUS_1 = IntPolynomial([-1, 1])
+
+
+def nonnegative_unimodular_matrices(max_n=4):
+    """Products of permutation matrices and elementary I + e_ij, n <= max_n:
+    nonnegative and unimodular, primitive or not."""
+    def build(args):
+        n, factors = args
+        m = IntMatrix.identity(n)
+        for perm, (i, j) in factors:
+            m = m @ IntMatrix([[int(perm[r] == c) for c in range(n)] for r in range(n)])
+            m = m @ IntMatrix([[int(r == c or (r, c) == (i, j)) for c in range(n)]
+                               for r in range(n)])
+        return m
+
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.permutations(range(n)),
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                ),
+                max_size=6,
+            ),
+        )
+    ).map(build)
+
+
+def _least_positive_integer_power(m):
+    """Least k <= 2n^2 with m^k strictly positive, by integer powers."""
+    power = m
+    for k in range(1, 2 * m.n * m.n + 1):
+        if power.is_strictly_positive():
+            return k
+        power = power @ m
+    return None
 
 
 def incidence_matrices():
@@ -88,6 +123,23 @@ class TestValidateIncidence:
         with pytest.raises(NotUnimodular):
             validate_incidence(IntMatrix([[2, 2], [1, 1]]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_wielandt_matrix_reaches_the_bound(self, n):
+        # the n-cycle plus one chord: primitive with exponent exactly (n-1)^2 + 1
+        rows = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+        rows[-1][1 % n] = 1
+        assert validate_incidence(IntMatrix(rows)).positivity_power == (n - 1) ** 2 + 1
+
+    @given(nonnegative_unimodular_matrices())
+    @settings(deadline=None)
+    def test_pattern_powers_match_integer_powers(self, m):
+        expected = _least_positive_integer_power(m)
+        if expected is None:
+            with pytest.raises(NeverStrictlyPositive):
+                validate_incidence(m)
+        else:
+            assert validate_incidence(m).positivity_power == expected
+
 
 class TestAbelianize:
     def test_bowen_franks_case(self):
@@ -146,8 +198,8 @@ class TestBowenFranks:
 @settings(max_examples=60, deadline=None)
 def test_conjugation_invariance(m, seed):
     a = validate_incidence(m)
-    b = random_glnz(2, seed=seed)
-    conjugate = (b @ m) @ unimodular_inverse(b)
+    b, b_inv = random_glnz(2, seed=seed)
+    conjugate = (b @ m) @ b_inv
     for coeffs in ((-1, 1), (1, 1), (-1, -1, 1)):
         p = IntPolynomial(coeffs)
         assert quotient_group(conjugate, p) == quotient_group(m, p)

@@ -49,6 +49,10 @@ class TestQuadraticIrrational:
         with pytest.raises(ZeroDivisionError):
             QuadraticIrrational(0, 2, 0)
 
+    def test_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            QuadraticIrrational(1.5, 2.9, 1)
+
     @given(surds(), st.fractions())
     @settings(max_examples=80, deadline=None)
     def test_compare_to_matches_float_free_oracle(self, theta, r):
@@ -115,6 +119,10 @@ class TestIncidenceFromPeriod:
     def test_golden_period_squares(self):
         inc = incidence_from_period(PeriodicCF((), (1,)))
         assert inc.m == IntMatrix([[2, 1], [1, 1]])
+
+    def test_periodic_cf_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            PeriodicCF((1.7,), (2.2,))
 
     def test_two_term_period_needs_no_squaring(self):
         inc = incidence_from_period(PeriodicCF((), (2, 1)))

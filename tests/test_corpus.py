@@ -196,6 +196,19 @@ class TestLoadCorpus:
         assert isinstance(entry, InvalidEntry)
         assert entry.error.startswith("TypeError")
 
+    def test_float_curve_coefficient_becomes_invalid_entry(self, tmp_path):
+        csv_path = tmp_path / "corpus.csv"
+        csv_path.write_text('label,a,b,matrix,poly\ndirect,-1,0,"5,2;2,1","-1,1"\n')
+        row = {"label": "direct", "a": -1, "b": 0, "matrix": "5,2;2,1", "poly": "-1,1"}
+        json_path = tmp_path / "corpus.json"
+        json_path.write_text(json.dumps([row, dict(row, a=-1.9)]))
+        exact, truncated = load_corpus(str(json_path))
+        # CSV cells are text and still parse as integers
+        assert load_corpus(str(csv_path)) == [exact]
+        assert exact.ab == (-1, 0)
+        assert isinstance(truncated, InvalidEntry)
+        assert truncated.error.startswith("TypeError")
+
     def test_missing_file_is_corpus_error(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read corpus file"):
             load_corpus(str(tmp_path / "absent.json"))

@@ -266,6 +266,13 @@ class TestCurveSpecParsing:
             parse_curve_spec("y^2 = x^3 - x")
 
 
+def test_curve_rejects_non_integer_coefficients():
+    with pytest.raises(TypeError):
+        CurveQ(-1.5, 0)
+    with pytest.raises(TypeError):
+        CurveQ(-1, Fraction(1, 2))
+
+
 def test_no_rational_lambda_gives_j_zero():
     # the j = 0 fiber parameters are the primitive sixth roots of unity
     for num in range(-40, 41):

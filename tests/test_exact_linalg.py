@@ -167,18 +167,68 @@ class TestUnimodular:
 
     @given(st.integers(1, 4), st.integers(0, 40), st.integers(0, 2**32))
     def test_random_glnz_always_unimodular(self, n, steps, seed):
-        assert is_unimodular(random_glnz(n, steps=steps, seed=seed))
+        b, b_inv = random_glnz(n, steps=steps, seed=seed)
+        assert is_unimodular(b) and is_unimodular(b_inv)
 
     def test_random_glnz_deterministic(self):
         assert random_glnz(3, steps=25, seed=99) == random_glnz(3, steps=25, seed=99)
 
     def test_random_glnz_zero_steps(self):
-        assert random_glnz(4, steps=0, seed=5) == IntMatrix.identity(4)
+        identity = IntMatrix.identity(4)
+        assert random_glnz(4, steps=0, seed=5) == (identity, identity)
 
-    @given(st.integers(1, 4), st.integers(0, 5000))
-    def test_adjugate_inverse(self, n, seed):
-        b = random_glnz(n, seed=seed)
-        assert b @ unimodular_inverse(b) == IntMatrix.identity(n)
+    # B as drawn before random_glnz returned its inverse; the RNG draws are
+    # unchanged, so these must stay bit-identical
+    @pytest.mark.parametrize(
+        "n,steps,seed,rows",
+        [
+            (1, 20, 0, [[1]]),
+            (1, 7, 5, [[-1]]),
+            (3, 20, 0, [[0, 1, 0], [-1, -8, 0], [0, 0, 1]]),
+            (3, 20, 12345, [[-4, 53, -27], [-5, 26, -13], [3, -16, 8]]),
+            (
+                6,
+                20,
+                0,
+                [
+                    [1, -2, 0, 0, -6, 3],
+                    [0, 0, 1, 0, -1, 0],
+                    [0, -1, 0, 0, 0, 0],
+                    [0, 0, 0, -1, 0, 0],
+                    [0, 0, 0, 0, 1, 0],
+                    [2, -4, 0, 0, -10, 5],
+                ],
+            ),
+            (
+                6,
+                30,
+                7,
+                [
+                    [0, 2, 7, -2, 0, 0],
+                    [0, 2, 6, -1, 0, 1],
+                    [0, -1, -3, 0, 0, 0],
+                    [0, 5, 15, 0, -1, 0],
+                    [1, 3, 9, 0, 0, 0],
+                    [0, 2, 6, -1, 0, 0],
+                ],
+            ),
+        ],
+    )
+    def test_random_glnz_pinned_matrices(self, n, steps, seed, rows):
+        b, _ = random_glnz(n, steps=steps, seed=seed)
+        assert b == IntMatrix(rows)
+
+    @given(st.integers(1, 6), st.integers(0, 60), st.integers(0, 2**32))
+    @settings(deadline=None)
+    def test_replayed_inverse_matches_smith_inverse(self, n, steps, seed):
+        b, b_inv = random_glnz(n, steps=steps, seed=seed)
+        assert b @ b_inv == IntMatrix.identity(n)
+        assert unimodular_inverse(b) == b_inv
+
+    @pytest.mark.parametrize("rows", [[[4, 2], [2, 0]], [[2, 0], [0, 1]], [[0]]])
+    def test_unimodular_inverse_rejects_other_determinants(self, rows):
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(IntMatrix(rows))
 
 
 class TestDeterminantalDivisors:

@@ -27,6 +27,18 @@ def test_snf_certificate_failure_raises(monkeypatch):
         exact_linalg.snf(exact_linalg.IntMatrix([[4, 2], [2, 0]]))
 
 
+def test_replayed_inverse_failure_raises(monkeypatch):
+    monkeypatch.setattr(exact_linalg.IntMatrix, "identity", classmethod(lambda cls, n: cls.zero(n)))
+    with pytest.raises(RuntimeError, match="B @ B\\^-1 == I"):
+        exact_linalg.random_glnz(3, steps=5, seed=1)
+
+
+def test_smith_inverse_failure_raises(monkeypatch):
+    monkeypatch.setattr(exact_linalg.IntMatrix, "identity", classmethod(lambda cls, n: cls.zero(n)))
+    with pytest.raises(RuntimeError, match="inv @ m == I"):
+        exact_linalg.unimodular_inverse(exact_linalg.IntMatrix([[2, 1], [1, 1]]))
+
+
 def test_lambda_root_check_raises(monkeypatch):
     monkeypatch.setattr(elliptic, "j_from_lambda", lambda lam: Fraction(0))
     with pytest.raises(RuntimeError, match="maps to another j"):
