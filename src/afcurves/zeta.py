@@ -1,11 +1,13 @@
 """Local zeta data on both sides of the curve/operator correspondence.
 
-Curve side: exact point counts of y^2 = x^3 + ax + b over F_{p^n} (a
-residue count over F_p for the trace a_p, the Frobenius-trace recurrence for
-every n > 1), and the local factor (1 - a_p z + p z^2)/((1-z)(1-pz)) checked
-against the exponential of the count sum.  count_points_enumerated, which
-counts over a constructed F_{p^n} table, is kept only as the tests'
-independent oracle.
+Curve side: exact point counts of y^2 = x^3 + ax + b over F_{p^n}, and the
+local factor (1 - a_p z + p z^2)/((1-z)(1-pz)) checked against the
+exponential of the count sum.  #E(F_p) is a residue count for p <= 229 and
+a Shanks-Mestre baby-step giant-step count above (O(p^(1/4)) group steps,
+certified unique in the Hasse interval by points of E and of its quadratic
+twist); every n > 1 follows from a_p by the Frobenius-trace recurrence.
+The residue count and count_points_enumerated, which counts over a
+constructed F_{p^n} table, are the tests' independent oracles.
 
 Operator side: the companion matrix L_p = [[tr(A^p), p], [-1, 0]] of an
 incidence matrix A and the cardinality sequence |det(I - L_p^n)|, with the
@@ -21,11 +23,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .af_invariant import IncidenceMatrix
 from .exact_linalg import IntMatrix, mat_pow
 
 ENUMERATION_MAX = 1_000_000
+# Mestre's theorem (Schoof 1995, Thm 3.2): above 229, E or its twist has
+# points whose orders leave one #E in the Hasse interval.
+RESIDUE_COUNT_MAX = 229
+# Points tried before Shanks-Mestre gives up; generic curves need one or two.
+MESTRE_MAX_POINTS = 64
+# The first 13 primes: Miller-Rabin on these bases is exact below
+# MILLER_RABIN_BOUND (Sorenson-Webster 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 class BadReduction(ValueError):
@@ -40,14 +52,39 @@ class AlphaRequired(ValueError):
     """The degenerate branch p | tr(A)^2 - 4 needs an explicit alpha."""
 
 
+class BudgetExceeded(ValueError):
+    """The input is past the size this library decides exactly."""
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin on the first 13 prime bases.
+
+    Exact below MILLER_RABIN_BOUND; at or above it raises BudgetExceeded.
+    """
+    if m >= MILLER_RABIN_BOUND:
+        raise BudgetExceeded(
+            f"{m} is at or above {MILLER_RABIN_BOUND}, where Miller-Rabin on "
+            f"{len(MILLER_RABIN_BASES)} bases is no longer a proof"
+        )
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for q in MILLER_RABIN_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in MILLER_RABIN_BASES:
+        x = pow(q, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -67,6 +104,126 @@ def _count_points_prime_field(e, p: int) -> int:
     a, b = e.a % p, e.b % p
     affine = sum(sq_count[(x * x * x + a * x + b) % p] for x in range(p))
     return affine + 1
+
+
+# --- Shanks-Mestre: #E(F_p) from point orders over the Hasse interval ------
+
+
+def _ec_add(u, v, a: int, p: int):
+    """u + v on y^2 = x^3 + a x + b over F_p; None is the point at infinity."""
+    if u is None:
+        return v
+    if v is None:
+        return u
+    (x1, y1), (x2, y2) = u, v
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _ec_mul(k: int, u, a: int, p: int):
+    """k * u by double-and-add."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = _ec_add(acc, u, a, p)
+        u = _ec_add(u, u, a, p)
+        k >>= 1
+    return acc
+
+
+def _order_modulus(point, a: int, p: int, lo: int, hi: int) -> int:
+    """A d with: for lo <= m <= hi, m * point = O exactly when d | m.
+
+    Baby steps j * point, j = 1..s, either meet O, a point of order 2 or a
+    repeated x (j P = -k P) and so give the exact order n at once, or prove
+    n > 2s.  Then each giant step c * point, with centres c spaced 2s + 1
+    apart over [lo, hi], equals O or +-j * point for at most one j, which
+    names the one m = c -+ j it certifies; no collision costs a scalar
+    multiplication.
+    """
+    s = isqrt((hi - lo) // 2)
+    baby = {}  # x(j * point) -> (j, y(j * point))
+    u = None
+    for j in range(1, s + 1):
+        u = _ec_add(u, point, a, p)
+        if u is None:
+            return j
+        if u[1] == 0:
+            return 2 * j
+        if u[0] in baby:
+            return j + baby[u[0]][0]
+        baby[u[0]] = j, u[1]
+    stride = 2 * s + 1
+    step = _ec_mul(stride, point, a, p)
+    centre = lo + s
+    giant = _ec_mul(centre, point, a, p)
+    found = []
+    while centre - s <= hi:
+        if giant is None:
+            found.append(centre)
+        elif giant[0] in baby:
+            j, y = baby[giant[0]]
+            found.append(centre - j if giant[1] == y else centre + j)
+        giant = _ec_add(giant, step, a, p)
+        centre += stride
+    found = [m for m in found if lo <= m <= hi]
+    if not found:
+        raise RuntimeError(
+            f"no multiple of a point's order lies in the Hasse interval at p = {p}"
+        )
+    return found[1] - found[0] if len(found) > 1 else found[0]
+
+
+def _hasse_candidates(m_e: int, m_t: int, p: int, lo: int, hi: int) -> list:
+    """The first two N in [lo, hi] with m_e | N and m_t | 2p + 2 - N."""
+    g = gcd(m_e, m_t)
+    if (2 * p + 2) % g:
+        raise RuntimeError(f"the orders on E and on its twist disagree at p = {p}")
+    t = (2 * p + 2) // g * pow(m_e // g, -1, m_t // g) % (m_t // g)
+    step = lcm(m_e, m_t)
+    first = lo + (m_e * t - lo) % step
+    return [n for n in (first, first + step) if n <= hi]
+
+
+def _count_points_shanks_mestre(e, p: int) -> int:
+    """#E(F_p) for p > RESIDUE_COUNT_MAX, certified, never guessed.
+
+    For x = 0, 1, 2, ... with c = f(x) != 0, the point (c x, c^2) lies on
+    y^2 = x^3 + a c^2 x + b c^3: E itself when c is a square mod p, its
+    quadratic twist (with 2p + 2 - #E points) otherwise.  Each point's order
+    constrains #E or the twist's count; the count is returned once one N is
+    left in the Hasse interval.
+    """
+    a, b = e.a % p, e.b % p
+    width = isqrt(4 * p)
+    lo, hi = p + 1 - width, p + 1 + width
+    m_e = m_t = 1
+    tried = 0
+    for x in range(p):
+        c = (x * x * x + a * x + b) % p
+        if c == 0:
+            continue
+        d = _order_modulus((c * x % p, c * c % p), a * c * c % p, p, lo, hi)
+        if pow(c, (p - 1) // 2, p) == 1:
+            m_e = lcm(m_e, d)
+        else:
+            m_t = lcm(m_t, d)
+        candidates = _hasse_candidates(m_e, m_t, p, lo, hi)
+        if len(candidates) == 1:
+            return candidates[0]
+        tried += 1
+        if tried == MESTRE_MAX_POINTS:
+            break
+    raise RuntimeError(
+        f"Shanks-Mestre left no unique #E in the Hasse interval at p = {p} "
+        f"after {tried} points"
+    )
 
 
 # --- arithmetic in F_{p^n} as polynomials modulo an irreducible ------------
@@ -178,14 +335,18 @@ def _curve_counts(a_p: int, p: int, order: int) -> list:
 def count_points(e, p: int, n: int = 1) -> int:
     """Exact #E(F_{p^n}), infinity included.
 
-    n = 1 is a direct residue count; n > 1 follows from a_p by the trace
-    recurrence.  The tests hold it to count_points_enumerated.
+    n = 1 is a residue count for p <= RESIDUE_COUNT_MAX and a Shanks-Mestre
+    baby-step giant-step count above; n > 1 follows from a_p by the trace
+    recurrence.  The tests hold it to the residue count and to
+    count_points_enumerated.
     """
     if n < 1:
         raise ValueError("extension degree must be >= 1")
     _check_good_odd_prime(e, p)
     if n == 1:
-        return _count_points_prime_field(e, p)
+        if p <= RESIDUE_COUNT_MAX:
+            return _count_points_prime_field(e, p)
+        return _count_points_shanks_mestre(e, p)
     return _curve_counts(trace_frobenius(e, p), p, n)[-1]
 
 

@@ -1,12 +1,20 @@
+from fractions import Fraction
+from math import isqrt, prod
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from afcurves import zeta
 from afcurves.af_invariant import validate_incidence
-from afcurves.elliptic import CurveQ
+from afcurves.elliptic import CurveQ, legendre_model
 from afcurves.exact_linalg import IntMatrix, determinant, mat_pow
 from afcurves.zeta import (
+    MILLER_RABIN_BOUND,
+    RESIDUE_COUNT_MAX,
     AlphaRequired,
     BadReduction,
+    BudgetExceeded,
     UnsupportedCharacteristic,
     compare_local,
     count_points,
@@ -23,6 +31,52 @@ E_CM = CurveQ(-1, 0)
 A_STD = validate_incidence(IntMatrix([[5, 2], [2, 1]]))
 
 GOOD_ODD_PRIMES_UNDER_50 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def trial_division_primes(limit: int) -> list:
+    """Primes below limit by trial division: the oracle for is_prime."""
+    primes = []
+    for n in range(2, limit):
+        for q in primes:
+            if q * q > n:
+                primes.append(n)
+                break
+            if n % q == 0:
+                break
+        else:
+            primes.append(n)
+    return primes
+
+
+SMALL_PRIMES = trial_division_primes(2 * 10**4)
+# every prime on the Shanks-Mestre route below 2e4
+MESTRE_PRIMES = [p for p in SMALL_PRIMES if p > RESIDUE_COUNT_MAX]
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_2e5(self):
+        primes = set(trial_division_primes(2 * 10**5))
+        for n in range(-3, 2 * 10**5):
+            assert is_prime(n) == (n in primes), n
+
+    @pytest.mark.parametrize(
+        "factors",
+        # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+        [(151, 751, 28351), (149491, 747451, 34233211), (399165290221, 798330580441)],
+    )
+    def test_strong_pseudoprimes_are_composite(self, factors):
+        assert not is_prime(prod(factors))
+
+    def test_large_primes(self):
+        assert is_prime(10**12 + 39)
+        assert is_prime(10**9 + 7)
+        assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+    def test_past_the_proven_bound_raises(self):
+        for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 1, 2 * MILLER_RABIN_BOUND):
+            with pytest.raises(BudgetExceeded):
+                is_prime(n)
+        assert issubclass(BudgetExceeded, ValueError)
 
 
 class TestCountPoints:
@@ -72,6 +126,70 @@ class TestCountPoints:
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
             count_points(E_CM, 9, 1)
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            E_CM,
+            CurveQ(0, 1),  # supersingular at p = 2 (mod 3)
+            CurveQ(-43, 166),
+            legendre_model(Fraction(3)).curve,  # full 2-torsion: not cyclic mod p
+        ],
+    )
+    def test_shanks_mestre_matches_residue_count(self, e):
+        primes = [p for p in MESTRE_PRIMES if p < 3000 and e.disc % p]
+        assert len(primes) == 380  # every prime in (229, 3000) is good here
+        for p in primes:
+            assert count_points(e, p, 1) == zeta._count_points_prime_field(e, p), p
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**6), 10**6),
+        st.sampled_from(MESTRE_PRIMES),
+    )
+    @example(3, -3, 271)  # the point x = 2 has order 10 = 2s, twice the baby steps
+    def test_shanks_mestre_matches_residue_count_random(self, a, b, p):
+        assume((4 * a**3 + 27 * b * b) % p != 0)
+        e = CurveQ(a, b)
+        assert count_points(e, p, 1) == zeta._count_points_prime_field(e, p)
+
+    def test_order_modulus_matches_point_orders(self):
+        # every point the count draws from x < 40, on E or its twist, at the
+        # first ten primes of the route: m * P = O exactly when d | m
+        for e in (E_CM, CurveQ(0, 1), CurveQ(-43, 166), CurveQ(3, -3)):
+            for p in MESTRE_PRIMES[:10]:
+                if e.disc % p == 0:
+                    continue
+                lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
+                count = zeta._count_points_prime_field(e, p)
+                for x in range(40):
+                    c = (x**3 + e.a * x + e.b) % p
+                    if c == 0:
+                        continue
+                    point, a = (c * x % p, c * c % p), e.a * c * c % p
+                    twist = pow(c, (p - 1) // 2, p) != 1
+                    group_order = 2 * p + 2 - count if twist else count
+                    order = min(
+                        n for n in range(1, group_order + 1)
+                        if group_order % n == 0 and zeta._ec_mul(n, point, a, p) is None
+                    )
+                    d = zeta._order_modulus(point, a, p, lo, hi)
+                    for m in range(lo, hi + 1):
+                        assert (m % order == 0) == (m % d == 0), (e, p, x, m)
+
+    def test_large_p_supersingular(self):
+        # p = 10^9 + 7 is 3 (mod 4) and 2 (mod 3): both CM curves have p + 1
+        # points; a residue count would need a list of length p
+        p = 10**9 + 7
+        assert count_points(E_CM, p, 1) == p + 1
+        assert count_points(CurveQ(0, 1), p, 1) == p + 1
+
+    def test_large_p_ordinary_cm_trace(self):
+        # p = u^2 + v^2 with u odd; CM by Z[i] makes a_p = +-2u
+        p, u, v = 10**12 + 61, 529205, 848494
+        assert p % 4 == 1 and u * u + v * v == p and is_prime(p)
+        assert abs(trace_frobenius(E_CM, p)) == 2 * u
 
     def test_enumeration_cap(self):
         # 3^13 = 1594323 exceeds ENUMERATION_MAX; the recurrence has no cap
