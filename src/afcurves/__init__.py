@@ -46,6 +46,7 @@ from .exact_linalg import (
     mat_poly_eval,
     mat_pow,
     random_glnz,
+    smith_diagonal,
     snf,
     unimodular_inverse,
 )

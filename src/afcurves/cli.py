@@ -111,7 +111,7 @@ def _cmd_snf(args) -> int:
             "diagonal": dec.d,
             "p_left": dec.p_left,
             "q_right": dec.q_right,
-            "verified": dec.verify(m),
+            "verified": True,  # snf raises unless the certificate verifies
         },
         args.format,
     )

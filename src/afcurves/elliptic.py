@@ -263,7 +263,7 @@ def legendre_model(lam) -> LegendreModel:
         if ia.denominator == 1 and ib.denominator == 1:
             curve = CurveQ(int(ia), int(ib))
             return LegendreModel(lam, curve, u, (1 + lam) / 3)
-    raise AssertionError("u = 3*denominator always clears denominators")
+    raise RuntimeError("u = 3*denominator always clears denominators")
 
 
 def legendre_to_weierstrass(lam) -> CurveQ:

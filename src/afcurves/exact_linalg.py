@@ -1,6 +1,12 @@
-"""Exact integer matrix arithmetic: Smith normal form with unimodular
-transform certificates, fraction-free determinants, polynomial evaluation
-at a matrix, and a seeded GL_n(Z) generator of (B, B^-1) pairs.
+"""Exact integer matrix arithmetic: Smith normal form, fraction-free
+determinants, polynomial evaluation at a matrix, and a seeded GL_n(Z)
+generator of (B, B^-1) pairs.
+
+One elimination gives the Smith form two ways.  smith_diagonal returns the
+diagonal alone, checked against the Bareiss determinant (prod(d) = |det|, or
+a trailing 0 when det = 0); it is what invariants read.  snf also mirrors
+every step into unimodular transforms P, Q and verifies the certificate
+P * M * Q = diag(d); the `snf` command and unimodular_inverse use it.
 
 Everything runs on Python's arbitrary-precision integers; there is no
 floating point and no entry-size limit anywhere in this module.
@@ -12,7 +18,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 
 class MatrixParseError(ValueError):
@@ -182,87 +188,135 @@ class SmithDecomposition:
             return False
         if not (is_unimodular(self.p_left) and is_unimodular(self.q_right)):
             return False
-        nonzero = [x for x in self.d if x != 0]
-        if list(self.d) != nonzero + [0] * (len(self.d) - len(nonzero)):
-            return False
-        if any(x < 1 for x in nonzero):
-            return False
-        return all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+        return _is_smith_chain(self.d)
+
+
+def _is_smith_chain(d) -> bool:
+    """Nonzero entries first, each positive and dividing the next; then zeros."""
+    nonzero = [x for x in d if x != 0]
+    if list(d) != nonzero + [0] * (len(d) - len(nonzero)):
+        return False
+    if any(x < 1 for x in nonzero):
+        return False
+    return all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms: returns (d, P, Q) with PMQ = diag(d).
 
-    Pivoting picks the nonzero entry of least absolute value in the working
-    submatrix, which keeps intermediate entries small.  Divisibility defects
-    left after diagonalization are repaired pairwise, folding each offending
-    pair (a, b) into (gcd, lcm) with explicit unimodular 2x2 transforms.
+    Runs the elimination and chain fold of smith_diagonal with every row step
+    mirrored into P and every column step into Q, then verifies the
+    certificate P * M * Q == diag(d).
     """
     n = m.n
-    a = [list(row) for row in m.rows]
     p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    d = _diagonalize([list(row) for row in m.rows], p, q)
+    _fold_chain(d, p, q)
+    result = SmithDecomposition(tuple(d), IntMatrix(p), IntMatrix(q))
+    if not result.verify(m):
+        raise RuntimeError("Smith form certificate P*M*Q == diag(d) failed to verify")
+    return result
 
+
+def smith_diagonal(m: IntMatrix) -> tuple:
+    """Smith diagonal of m, without the transforms P and Q.
+
+    The same elimination and chain fold as snf, with nothing mirrored.  The
+    result is checked against an independent Bareiss determinant: the product
+    of the diagonal is |det(m)| when det(m) != 0, and the diagonal ends in a
+    zero when det(m) == 0.
+    """
+    d = _diagonalize([list(row) for row in m.rows])
+    _fold_chain(d)
+    det = determinant(m)
+    consistent = prod(d) == abs(det) if det else d[-1] == 0
+    if not (consistent and _is_smith_chain(d)):
+        raise RuntimeError("Smith diagonal failed the prod(d) == |det(m)| check")
+    return tuple(d)
+
+
+def _diagonalize(a, p=None, q=None) -> list:
+    """Reduce the rows a of a square matrix to diagonal form in place.
+
+    Pivoting picks the nonzero entry of least absolute value in the working
+    submatrix, which keeps intermediate entries small.  Each row step on a is
+    mirrored into p, and each column step into q, when they are given.
+    Returns the diagonal: positive entries, then zeros.
+    """
+    n = len(a)
     for t in range(n):
         while True:
             pivot = None
+            best = 0
             for i in range(t, n):
+                row = a[i]
                 for j in range(t, n):
-                    v = a[i][j]
-                    if v != 0 and (pivot is None or abs(v) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+                    v = row[j]
+                    if v:
+                        if v < 0:
+                            v = -v
+                        if best == 0 or v < best:
+                            pivot, best = (i, j), v
+                if best == 1:
+                    break  # no entry is smaller
             if pivot is None:
-                break  # remaining block is zero; trailing diagonal stays 0
-            # each row step on a is mirrored into p, each column step into q
+                return [a[i][i] for i in range(n)]  # remaining block is zero
+            # rows above t are zero from column t on, so column steps skip them
             i, j = pivot
             if i != t:
                 a[t], a[i] = a[i], a[t]
-                p[t], p[i] = p[i], p[t]
+                if p is not None:
+                    p[t], p[i] = p[i], p[t]
+            cols = a[t:] if q is None else a[t:] + q
             if j != t:
-                for row in a + q:
+                for row in cols:
                     row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
-                a[t], p[t] = [-x for x in a[t]], [-x for x in p[t]]
+                a[t] = [-x for x in a[t]]
+                if p is not None:
+                    p[t] = [-x for x in p[t]]
+            pivot_row = a[t]
+            lead = pivot_row[t]
             for r in range(t + 1, n):
                 if a[r][t] != 0:
-                    k = -(a[r][t] // a[t][t])
-                    a[r] = [x + k * y for x, y in zip(a[r], a[t])]
-                    p[r] = [x + k * y for x, y in zip(p[r], p[t])]
+                    k = -(a[r][t] // lead)
+                    a[r] = [x + k * y for x, y in zip(a[r], pivot_row)]
+                    if p is not None:
+                        p[r] = [x + k * y for x, y in zip(p[r], p[t])]
+            cols = a[t:] if q is None else a[t:] + q
             for c in range(t + 1, n):
-                if a[t][c] != 0:
-                    k = -(a[t][c] // a[t][t])
-                    for row in a + q:
+                if pivot_row[c] != 0:
+                    k = -(pivot_row[c] // lead)
+                    for row in cols:
                         row[c] += k * row[t]
-            if all(a[r][t] == 0 for r in range(t + 1, n)) and all(
-                a[t][c] == 0 for c in range(t + 1, n)
-            ):
+            if not any(pivot_row[t + 1:]) and not any(a[r][t] for r in range(t + 1, n)):
                 break
-        if pivot is None:
-            break
+    return [a[i][i] for i in range(n)]
 
-    # repair the divisibility chain on the nonzero prefix
-    rank = sum(1 for i in range(n) if a[i][i] != 0)
+
+def _fold_chain(d, p=None, q=None) -> None:
+    """Make the nonzero prefix of d a divisibility chain, in place.
+
+    Each offending adjacent pair (x, y) is folded into (gcd, lcm).  With p and
+    q the fold is mirrored by the unimodular 2x2 transforms P2, Q2 with
+    P2 * diag(x, y) * Q2 = diag(gcd, lcm).
+    """
+    rank = sum(1 for x in d if x != 0)
     changed = True
     while changed:
         changed = False
         for i in range(rank - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
+            x, y = d[i], d[i + 1]
             if y % x != 0:
                 changed = True
                 g = gcd(x, y)
-                lcm = x // g * y
-                # D = P2 diag(x, y) Q2 with D = diag(g, lcm); Bezout u*x + v*y = g
-                u, v = _bezout(x, y)
-                p2 = ((u, v), (-(y // g), x // g))
-                q2 = ((1, -(v * y) // g), (1, (u * x) // g))
-                _apply_2x2_left(a, p, i, i + 1, p2)
-                _apply_2x2_right(a, q, i, i + 1, q2)
-
-    d = tuple(a[i][i] for i in range(n))
-    result = SmithDecomposition(d, IntMatrix(p), IntMatrix(q))
-    if not result.verify(m):
-        raise RuntimeError("Smith form certificate P*M*Q == diag(d) failed to verify")
-    return result
+                d[i], d[i + 1] = g, x // g * y
+                if p is not None:
+                    # Bezout u*x + v*y = g
+                    u, v = _bezout(x, y)
+                    _apply_2x2_left(p, i, ((u, v), (-(y // g), x // g)))
+                    _apply_2x2_right(q, i, ((1, -(v * y) // g), (1, (u * x) // g)))
 
 
 def _bezout(x: int, y: int):
@@ -280,22 +334,19 @@ def _bezout(x: int, y: int):
     return old_s, old_t
 
 
-def _apply_2x2_left(a, p, i, j, m2):
-    """Rows i, j of a (and p) <- m2 * those rows."""
-    for mat in (a, p):
-        ri = mat[i]
-        rj = mat[j]
-        mat[i] = [m2[0][0] * x + m2[0][1] * y for x, y in zip(ri, rj)]
-        mat[j] = [m2[1][0] * x + m2[1][1] * y for x, y in zip(ri, rj)]
+def _apply_2x2_left(mat, i, m2):
+    """Rows i, i + 1 of mat <- m2 * those rows."""
+    ri, rj = mat[i], mat[i + 1]
+    mat[i] = [m2[0][0] * x + m2[0][1] * y for x, y in zip(ri, rj)]
+    mat[i + 1] = [m2[1][0] * x + m2[1][1] * y for x, y in zip(ri, rj)]
 
 
-def _apply_2x2_right(a, q, i, j, m2):
-    """Columns i, j of a (and q) <- those columns * m2."""
-    for mat in (a, q):
-        for row in mat:
-            ci, cj = row[i], row[j]
-            row[i] = ci * m2[0][0] + cj * m2[1][0]
-            row[j] = ci * m2[0][1] + cj * m2[1][1]
+def _apply_2x2_right(mat, i, m2):
+    """Columns i, i + 1 of mat <- those columns * m2."""
+    for row in mat:
+        ci, cj = row[i], row[i + 1]
+        row[i] = ci * m2[0][0] + cj * m2[1][0]
+        row[i + 1] = ci * m2[0][1] + cj * m2[1][1]
 
 
 def determinant(m: IntMatrix) -> int:

@@ -259,7 +259,7 @@ def _find_irreducible(p: int, n: int) -> tuple:
         poly = low + (1,)
         if _is_irreducible(poly, p):
             return poly
-    raise AssertionError("an irreducible polynomial of every degree exists")
+    raise RuntimeError("an irreducible polynomial of every degree exists")
 
 
 class _PrimePowerField:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afcurves.af_invariant import AbelianGroup, quotient_group
 from afcurves.exact_linalg import (
     IntMatrix,
     IntPolynomial,
@@ -19,6 +20,7 @@ from afcurves.exact_linalg import (
     parse_matrix,
     parse_poly,
     random_glnz,
+    smith_diagonal,
     snf,
     unimodular_inverse,
 )
@@ -45,21 +47,37 @@ class TestConstructors:
             IntPolynomial([bad, 2])
 
 
+FIBONACCI = IntMatrix([[1, 1], [1, 0]])
+X2_MINUS_X_MINUS_1 = IntPolynomial([-1, -1, 1])
+
+
+def smith_d(m):
+    """The Smith diagonal by both routes, the certificate's and the diagonal alone."""
+    d = snf(m).d
+    assert smith_diagonal(m) == d
+    return d
+
+
 class TestSnf:
     def test_reduction_of_a_minus_identity(self):
-        assert snf(IntMatrix([[4, 2], [2, 0]])).d == (2, 2)
+        assert smith_d(IntMatrix([[4, 2], [2, 0]])) == (2, 2)
 
     def test_zero_matrix(self):
         dec = snf(IntMatrix.zero(2))
         assert dec.d == (0, 0)
         assert dec.verify(IntMatrix.zero(2))
+        assert smith_diagonal(IntMatrix.zero(2)) == (0, 0)
 
     def test_divisor_chain_example(self):
         # oracle: gcd of entries is 2, |det| = 8, so diagonal is (2, 4)
-        assert snf(IntMatrix([[6, 2], [2, 2]])).d == (2, 4)
+        assert smith_d(IntMatrix([[6, 2], [2, 2]])) == (2, 4)
 
     def test_identity(self):
-        assert snf(IntMatrix.identity(3)).d == (1, 1, 1)
+        assert smith_d(IntMatrix.identity(3)) == (1, 1, 1)
+
+    @pytest.mark.parametrize("entry,expected", [(0, (0,)), (1, (1,)), (-7, (7,))])
+    def test_one_by_one(self, entry, expected):
+        assert smith_d(IntMatrix([[entry]])) == expected
 
     @given(square_matrices())
     def test_certificate_and_chain(self, m):
@@ -75,15 +93,33 @@ class TestSnf:
 
     @given(square_matrices())
     def test_matches_determinantal_divisor_oracle(self, m):
-        dec = snf(m)
         oracle = determinantal_divisors(m)
         prefix = 1
-        for k, dk in enumerate(dec.d):
+        for k, dk in enumerate(smith_d(m)):
             if dk == 0:
                 assert oracle[k] == 0
                 break
             prefix *= dk
             assert oracle[k] == prefix
+
+    def test_rank_deficient_fibonacci_block(self):
+        # x^2 - x - 1 kills the Fibonacci block, so p(A) has rank 2 of 4;
+        # conjugating by B makes p(A) dense without changing its diagonal
+        a = IntMatrix([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]])
+        b, b_inv = random_glnz(4, steps=30, seed=3)
+        pm = mat_poly_eval(X2_MINUS_X_MINUS_1, (b @ a) @ b_inv)
+        assert mat_poly_eval(X2_MINUS_X_MINUS_1, FIBONACCI) == IntMatrix.zero(2)
+        assert smith_d(pm) == (2, 2, 0, 0)
+        assert determinantal_divisors(pm) == [2, 4, 0, 0]
+
+    def test_large_entries_at_n32(self):
+        # n = 32 at x^2 - x - 1: the transform entries here reach ~21,000 bits
+        rng = random.Random(32)
+        m = IntMatrix([[rng.randint(-50, 50) for _ in range(32)] for _ in range(32)])
+        pm = mat_poly_eval(X2_MINUS_X_MINUS_1, m)
+        d = snf(pm).d
+        assert smith_diagonal(pm) == d
+        assert quotient_group(m, X2_MINUS_X_MINUS_1) == AbelianGroup.from_smith_diagonal(d)
 
 
 class TestDeterminant:

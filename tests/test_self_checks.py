@@ -11,12 +11,19 @@ from afcurves import elliptic, exact_linalg, zeta
 SRC = Path(__file__).resolve().parent.parent / "src" / "afcurves"
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_package():
+    # neither `assert` nor `raise AssertionError(...)`: self-checks raise RuntimeError
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node))
     ]
     assert found == []
 
@@ -25,6 +32,20 @@ def test_snf_certificate_failure_raises(monkeypatch):
     monkeypatch.setattr(exact_linalg.SmithDecomposition, "verify", lambda self, m: False)
     with pytest.raises(RuntimeError, match="certificate"):
         exact_linalg.snf(exact_linalg.IntMatrix([[4, 2], [2, 0]]))
+
+
+@pytest.mark.parametrize(
+    "rows,wrong_det",
+    [
+        ([[4, 2], [2, 0]], 8),  # det -4: the product no longer matches
+        ([[4, 2], [2, 0]], 0),  # a zero det asks for a trailing 0
+        ([[2, 4], [3, 6]], 5),  # singular, but a nonzero det is claimed
+    ],
+)
+def test_smith_diagonal_determinant_check_raises(monkeypatch, rows, wrong_det):
+    monkeypatch.setattr(exact_linalg, "determinant", lambda m: wrong_det)
+    with pytest.raises(RuntimeError, match="prod\\(d\\) == \\|det"):
+        exact_linalg.smith_diagonal(exact_linalg.IntMatrix(rows))
 
 
 def test_replayed_inverse_failure_raises(monkeypatch):
