@@ -282,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for randomized commands"
-    )
 
     parser = argparse.ArgumentParser(
         prog="afcurves",
@@ -319,6 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--poly", required=True)
     p_probe.add_argument("--trials", type=int, default=100)
     p_probe.add_argument("--steps", type=int, default=20)
+    p_probe.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help="seed for the conjugates"
+    )
     p_probe.set_defaults(func=_cmd_probe)
 
     p_cf = sub.add_parser(

@@ -2,9 +2,12 @@
 
 Covers the j-invariant of y^2 = x(x-1)(x-lambda), the six-element
 fractional-linear lambda orbit, recovery of rational lambda values from a
-given j, conversion to an integral short Weierstrass model y^2 = x^3+ax+b,
-the exact chord-and-tangent group law, and rational torsion subgroups by
-Lutz-Nagell candidate enumeration.  All arithmetic is exact (Fraction).
+given j (integer roots of a monic cubic in u = lambda^2 - lambda, by exact
+bisection), conversion to an integral short Weierstrass model
+y^2 = x^3+ax+b, the exact chord-and-tangent group law, and rational torsion
+subgroups from a strong Nagell-Lutz scan over an explicit window of integer
+x.  Searches past _STEP_CAP steps raise BudgetExceeded before they start.
+All arithmetic is exact (Fraction).
 """
 
 from __future__ import annotations
@@ -13,9 +16,13 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from .af_invariant import AbelianGroup
+from .exact_linalg import BudgetExceeded
+
+# Steps a curve search may take before it raises BudgetExceeded instead.
+_STEP_CAP = 1 << 22
 
 
 class SingularLambda(ValueError):
@@ -65,66 +72,48 @@ def lambda_orbit(lam) -> set:
     }
 
 
-def _divisors(m: int):
-    m = abs(m)
-    small, large = [], []
-    k = 1
-    while k * k <= m:
-        if m % k == 0:
-            small.append(k)
-            if k != m // k:
-                large.append(m // k)
-        k += 1
-    return small + large[::-1]
-
-
 def rational_lambdas_from_j(j) -> list:
     """All rational lambda with j_from_lambda(lambda) = j, sorted.
 
-    Clears denominators in 2^8 (l^2-l+1)^3 - j l^2 (l-1)^2 and runs an exact
-    rational-root search (p over the constant term, q over the leading one).
-    Empty when no rational parameter exists (e.g. j = 0).
+    With u = lambda^2 - lambda, j = 2^8 (u + 1)^3 / u^2, so y = k u with
+    k = 256 jd is a root of the monic cubic g(y) = (y + k)^3 - jn y^2.  The
+    lambda over j form one orbit, so if one is rational, all are: every root
+    y is then an integer and 1 + 4u = (2 lambda - 1)^2 a rational square.
+    Any integer root decides, and with three real roots the largest lies at
+    or past c, the larger zero of g', 3c = jn - 3k + sqrt(jn (jn - 6k)),
+    where g increases: the integers next to c are tried directly (at j = 1728
+    a double root sits on c), and exact bisection covers the rest.  Empty
+    when no rational parameter exists (e.g. j = 0).
     """
     j = Fraction(j)
-    jn, jd = j.numerator, j.denominator
-    # coefficients of the degree-6 polynomial, constant first, times jd
-    coeffs = [
-        256 * jd,
-        -768 * jd,
-        1536 * jd - jn,
-        -1792 * jd + 2 * jn,
-        1536 * jd - jn,
-        -768 * jd,
-        256 * jd,
-    ]
-    content = 0
-    for c in coeffs:
-        content = gcd(content, c)
-    coeffs = [c // content for c in coeffs]
-    # cheap filters before full evaluation: a root p/q in lowest terms has
-    # (p - q) | P(1) and (p + q) | P(-1)
-    at_one = sum(coeffs)  # never 0: the original value there is 256*jd
-    at_minus_one = sum(c if k % 2 == 0 else -c for k, c in enumerate(coeffs))
-    roots = set()
-    for p in _divisors(coeffs[0]):
-        for q in _divisors(coeffs[-1]):
-            if gcd(p, q) != 1:
-                continue  # the reduced pair is enumerated on its own
-            for pn in (p, -p):
-                if pn == q:
-                    continue
-                if at_one % (pn - q) != 0:
-                    continue
-                if pn != -q and at_minus_one != 0 and at_minus_one % (pn + q) != 0:
-                    continue
-                value = sum(
-                    c * pn**k * q ** (6 - k) for k, c in enumerate(coeffs)
-                )
-                if value == 0:
-                    roots.add(Fraction(pn, q))
-    out = sorted(roots)
+    jn, k = j.numerator, 256 * j.denominator
+
+    def g(y):
+        return (y + k) ** 3 - jn * y * y
+
+    hi = 1 + max(abs(3 * k - jn), 3 * k * k, k**3)  # Cauchy's bound: g(hi) > 0
+    lo, roots = -hi, []
+    s = jn * (jn - 6 * k)
+    if s > 0:  # g' has two zeros; c is the larger
+        top = jn - 3 * k + isqrt(s)  # 3c lies in [top, top + 1)
+        lo = -(-(top + 1) // 3)
+        roots = [y for y in range(top // 3, lo) if g(y) == 0]
+    while hi - lo > 1:  # g increases on [lo, hi] and stays > 0 at hi
+        mid = (lo + hi) // 2
+        if g(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    if g(lo) == 0:
+        roots.append(lo)
+    out = []
+    if roots and k + 4 * roots[0] >= 0:
+        t = 1 + Fraction(4 * roots[0], k)  # 1 + 4u
+        root = Fraction(isqrt(t.numerator), isqrt(t.denominator))
+        if root * root == t:
+            out = sorted(lambda_orbit((1 + root) / 2))
     if any(j_from_lambda(r) != j for r in out):
-        raise RuntimeError(f"a root of the lambda sextic for j = {j} maps to another j")
+        raise RuntimeError(f"a lambda recovered for j = {j} maps to another j")
     return out
 
 
@@ -253,8 +242,23 @@ class LegendreModel:
         return (pt.x / self.u**2 + self.shift, pt.y / self.u**3)
 
 
+def _divisors(m: int):
+    m = abs(m)
+    small, large = [], []
+    k = 1
+    while k * k <= m:
+        if m % k == 0:
+            small.append(k)
+            if k != m // k:
+                large.append(m // k)
+        k += 1
+    return small + large[::-1]
+
+
 def legendre_model(lam) -> LegendreModel:
     lam = _check_lambda(lam)
+    if 3 * lam.denominator > _STEP_CAP**2:  # _divisors tries k up to the root
+        raise BudgetExceeded(f"denominator of lambda = {lam} over {_STEP_CAP}^2 / 3")
     a = (-(lam * lam) + lam - 1) / 3
     b = (-2 * lam**3 + 3 * lam * lam + 3 * lam - 2) / 27
     for u in _divisors(3 * lam.denominator):
@@ -279,27 +283,8 @@ MAZUR_ADMISSIBLE = frozenset(
 )
 
 
-def _integer_roots_cubic(a: int, c: int) -> list:
-    """Integer roots of x^3 + a x + c."""
-    if c == 0:
-        roots = {0}
-        if a < 0:
-            r = isqrt(-a)
-            if r * r == -a:
-                roots.update((r, -r))
-        return sorted(roots)
-    roots = set()
-    for d in _divisors(c):
-        for x in (d, -d):
-            if x**3 + a * x + c == 0:
-                roots.add(x)
-    return sorted(roots)
-
-
 def _order_up_to(e: CurveQ, p: Point, bound: int = 12):
     """Order of p if at most `bound`, else None (then p is non-torsion over Q)."""
-    if p.is_infinity:
-        return 1
     acc = p
     for k in range(2, bound + 1):
         acc = add_points(e, acc, p)
@@ -312,30 +297,44 @@ def _order_up_to(e: CurveQ, p: Point, bound: int = 12):
     return None
 
 
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 0, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // 3)
+    while x * x * x > n:
+        x = (2 * x + n // (x * x)) // 3
+    return x
+
+
 def torsion_subgroup(e: CurveQ):
     """Full rational torsion subgroup: (normal form, points).
 
-    Candidates are the finitely many integral points with y = 0 or
-    y^2 | disc; each is kept only if some multiple up to 12 hits infinity.
-    Points come back sorted with infinity first.
+    By the strong Nagell-Lutz theorem a torsion point is integral with y = 0
+    or y^2 | D = 4a^3 + 27b^2.  Candidates come from one pass over integer x
+    in a window of O(|D|^(1/3)) values; each is kept only if some multiple
+    up to 12 hits infinity.  A window over _STEP_CAP raises BudgetExceeded
+    before the pass.  Points come back sorted with infinity first.
     """
-    points = {INFINITY}
-    for x in _integer_roots_cubic(e.a, e.b):
-        points.add(Point(x, 0))
-    limit = isqrt(abs(e.disc))
-    for d in range(1, limit + 1):
-        if abs(e.disc) % (d * d) != 0:
-            continue
-        for x in _integer_roots_cubic(e.a, e.b - d * d):
-            candidate = Point(x, d)
-            if _order_up_to(e, candidate) is not None:
-                points.add(candidate)
-                points.add(negate(candidate))
-    n = len(points)
-    exponent = 1
-    for pt in points:
-        k = _order_up_to(e, pt)
-        exponent = exponent * k // gcd(exponent, k)
+    a, b = e.a, e.b
+    d = 4 * a**3 + 27 * b * b
+    # With r^2 > 2|a| and r^3 > 2|b|, |x| >= r gives |ax + b| < |x|^3, so
+    # f(x) = x^3 + ax + b has the sign of x and no point has x <= -r.  From
+    # x >= 2r on, |ax + b| < x^3 (1/8 + 1/16), so f(x) > x^3 / 2; past
+    # c^3 > 2|D| that exceeds |D|, and y^2 = f(x) can no longer divide D.
+    r = max(isqrt(2 * abs(a)), _icbrt(2 * abs(b))) + 1
+    top = max(2 * r, _icbrt(2 * abs(d)) + 1)
+    if top + r > _STEP_CAP:
+        raise BudgetExceeded(f"Nagell-Lutz window of {e} over {_STEP_CAP} values")
+    orders = {INFINITY: 1}
+    for x in range(1 - r, top + 1):
+        fx = (x * x + a) * x + b
+        if fx == 0:
+            orders[Point(x, 0)] = 2
+        elif fx > 0 and d % fx == 0 and isqrt(fx) ** 2 == fx:
+            candidate = Point(x, isqrt(fx))
+            k = _order_up_to(e, candidate)
+            if k is not None:
+                orders[candidate] = orders[negate(candidate)] = k
+    n, exponent = len(orders), lcm(*orders.values())
     if exponent == n:
         group = AbelianGroup((n,) if n > 1 else ())
     elif n == 2 * exponent:
@@ -344,7 +343,7 @@ def torsion_subgroup(e: CurveQ):
         raise RuntimeError(
             f"{n} torsion points with exponent {exponent} fit no group over Q"
         )
-    ordered = sorted(points, key=lambda pt: (not pt.is_infinity, pt.x, pt.y))
+    ordered = sorted(orders, key=lambda pt: (not pt.is_infinity, pt.x, pt.y))
     return group, ordered
 
 

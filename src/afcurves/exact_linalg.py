@@ -25,6 +25,10 @@ class MatrixParseError(ValueError):
     """Malformed matrix or polynomial text; carries the offending position."""
 
 
+class BudgetExceeded(ValueError):
+    """The input is past the size this library decides exactly."""
+
+
 class IntMatrix:
     """Dense square matrix of exact integers, immutable after construction.
 

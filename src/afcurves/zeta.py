@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .af_invariant import IncidenceMatrix
-from .exact_linalg import IntMatrix, mat_pow
+from .exact_linalg import BudgetExceeded, IntMatrix, mat_pow
 
 ENUMERATION_MAX = 1_000_000
 # Mestre's theorem (Schoof 1995, Thm 3.2): above 229, E or its twist has
@@ -50,10 +50,6 @@ class UnsupportedCharacteristic(ValueError):
 
 class AlphaRequired(ValueError):
     """The degenerate branch p | tr(A)^2 - 4 needs an explicit alpha."""
-
-
-class BudgetExceeded(ValueError):
-    """The input is past the size this library decides exactly."""
 
 
 def is_prime(m: int) -> bool:

@@ -102,6 +102,16 @@ class TestProbeCommand:
         )
         assert out1 == out2
 
+    def test_seed_is_a_probe_option_only(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "probe", "5,2;2,1", "--poly", "-1,1", "--trials", "5", "--seed", "3"
+        )
+        assert code == 0 and payload["seed"] == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["snf", "--seed", "3", "4,2;2,0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed=3" in capsys.readouterr().err
+
 
 class TestCfCommand:
     def test_silver_with_matrix(self, capsys):
@@ -139,6 +149,16 @@ class TestTorsionCommand:
         assert code == 1
         assert "SingularLambda" in err
 
+    @pytest.mark.parametrize(
+        "spec", ["a=-1000000000000,b=0", "lambda=1/100000000000000000000"]
+    )
+    def test_over_budget_is_one_error_line(self, capsys, wall_bound, spec):
+        with wall_bound(5):
+            code, out, err = run_cli(capsys, "torsion", spec)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: BudgetExceeded: ")
+
 
 class TestJmapCommand:
     def test_lambda_branch(self, capsys):
@@ -153,6 +173,12 @@ class TestJmapCommand:
 
     def test_j_zero(self, capsys):
         code, payload, _ = run_json(capsys, "jmap", "j=0")
+        assert payload["lambdas"] == []
+
+    def test_tiny_j(self, capsys, wall_bound):
+        with wall_bound(5):
+            code, payload, _ = run_json(capsys, "jmap", "j=1/10000000000")
+        assert code == 0
         assert payload["lambdas"] == []
 
 

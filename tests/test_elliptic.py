@@ -281,3 +281,25 @@ def test_no_rational_lambda_gives_j_zero():
             if lam in (0, 1):
                 continue
             assert j_from_lambda(lam) != 0
+
+
+class TestFormerOffenders:
+    """Inputs the trial-division searches took tens of seconds on."""
+
+    @pytest.mark.parametrize(
+        "a,expected", [(-(10**4), AbelianGroup((2, 2))), (-(10**5), AbelianGroup((2,)))]
+    )
+    def test_torsion_with_large_a(self, wall_bound, a, expected):
+        with wall_bound(5):
+            group, _ = torsion_subgroup(CurveQ(a, 0))
+        assert group == expected
+
+    def test_no_lambda_over_tiny_j(self, wall_bound):
+        with wall_bound(5):
+            assert rational_lambdas_from_j(Fraction(1, 10**10)) == []
+
+    def test_large_lambda_orbit(self, wall_bound):
+        lam = Fraction(10**10 + 1, 3)
+        with wall_bound(5):
+            assert set(rational_lambdas_from_j(j_from_lambda(lam))) == lambda_orbit(lam)
+
