@@ -171,8 +171,8 @@ class ProbeReport:
     """Outcome of a similarity-invariance probe.
 
     failures counts trials where the conjugated invariant differed from the
-    base one; invariance predicts 0.  mismatches lists (trial, group) pairs
-    for any failures, for diagnosis.
+    base one; invariance predicts 0.  The fields are the `probe` command's
+    payload.
     """
 
     matrix: IntMatrix
@@ -181,7 +181,6 @@ class ProbeReport:
     failures: int
     group: AbelianGroup
     seed: int
-    mismatches: tuple = ()
 
 
 def invariance_probe(
@@ -202,20 +201,9 @@ def invariance_probe(
     base = quotient_group(a.m, p)
     rng = random.Random(seed)
     failures = 0
-    mismatches = []
-    for trial in range(trials):
+    for _ in range(trials):
         b, b_inv = random_glnz(a.n, steps=steps, seed=rng.randrange(2**63))
         conjugate = (b @ a.m) @ b_inv
-        group = quotient_group(conjugate, p)
-        if group != base:
+        if quotient_group(conjugate, p) != base:
             failures += 1
-            mismatches.append((trial, group))
-    return ProbeReport(
-        matrix=a.m,
-        polynomial=p,
-        trials=trials,
-        failures=failures,
-        group=base,
-        seed=seed,
-        mismatches=tuple(mismatches),
-    )
+    return ProbeReport(a.m, p, trials, failures, base, seed)

@@ -143,17 +143,7 @@ def _cmd_probe(args) -> int:
     report = af_invariant.invariance_probe(
         a, p, trials=args.trials, seed=args.seed, steps=args.steps
     )
-    _emit(
-        {
-            "matrix": report.matrix,
-            "polynomial": report.polynomial,
-            "trials": report.trials,
-            "failures": report.failures,
-            "group": report.group,
-            "seed": report.seed,
-        },
-        args.format,
-    )
+    _emit(report, args.format)
     return 0 if report.failures == 0 else 1
 
 
@@ -193,14 +183,14 @@ def _cmd_torsion(args) -> int:
 def _cmd_jmap(args) -> int:
     spec = args.spec.strip()
     if spec.startswith("lambda="):
-        lam = Fraction(spec[len("lambda=") :])
+        lam = elliptic.parse_spec_rational(spec, "lambda=")
         payload = {
             "lambda": lam,
             "j": elliptic.j_from_lambda(lam),
             "orbit": sorted(elliptic.lambda_orbit(lam)),
         }
     elif spec.startswith("j="):
-        j = Fraction(spec[len("j=") :])
+        j = elliptic.parse_spec_rational(spec, "j=")
         payload = {"j": j, "lambdas": elliptic.rational_lambdas_from_j(j)}
     else:
         raise elliptic.CurveSpecError(

@@ -63,9 +63,6 @@ class QuadraticIrrational:
         denom_sign = 1 if self.q_den * r.denominator > 0 else -1
         return _sign_u_plus_v_sqrt(u, v, self.d_rad) * denom_sign
 
-    def floor(self) -> int:
-        return _floor_surd(self.p_num, self.d_rad, self.q_den)
-
     def __str__(self):
         return f"({self.p_num}+sqrt({self.d_rad}))/{self.q_den}"
 

@@ -85,12 +85,12 @@ class PolynomialVerdict:
 @dataclass(frozen=True)
 class ConjectureReport:
     entry: CorpusEntry
-    j_invariant: Fraction | None
-    curve: CurveQ | None
-    incidence: IncidenceMatrix | None
-    computed_torsion: AbelianGroup | None
-    verdicts: tuple
-    expected_match: bool | None  # None when no expected_torsion was given
+    j_invariant: Fraction | None = None
+    curve: CurveQ | None = None
+    incidence: IncidenceMatrix | None = None
+    computed_torsion: AbelianGroup | None = None
+    verdicts: tuple = ()
+    expected_match: bool | None = None  # None when no expected_torsion was given
     error: str | None = None
 
 
@@ -109,16 +109,7 @@ def _entry_incidence(entry: CorpusEntry) -> IncidenceMatrix:
 def run_entry(entry) -> ConjectureReport:
     """Compute both sides for one entry; failures land in the error field."""
     if isinstance(entry, InvalidEntry):
-        return ConjectureReport(
-            entry=entry,
-            j_invariant=None,
-            curve=None,
-            incidence=None,
-            computed_torsion=None,
-            verdicts=(),
-            expected_match=None,
-            error=entry.error,
-        )
+        return ConjectureReport(entry, error=entry.error)
     try:
         curve = _entry_curve(entry)
         incidence = _entry_incidence(entry)
@@ -144,16 +135,7 @@ def run_entry(entry) -> ConjectureReport:
             expected_match=expected_match,
         )
     except (ValueError, ZeroDivisionError) as exc:
-        return ConjectureReport(
-            entry=entry,
-            j_invariant=None,
-            curve=None,
-            incidence=None,
-            computed_torsion=None,
-            verdicts=(),
-            expected_match=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return ConjectureReport(entry, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_corpus(entries) -> list:

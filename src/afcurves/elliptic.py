@@ -350,6 +350,15 @@ def torsion_subgroup(e: CurveQ):
 _AB_SPEC = re.compile(r"^a\s*=\s*(-?\d+)\s*,\s*b\s*=\s*(-?\d+)$")
 
 
+def parse_spec_rational(spec: str, prefix: str) -> Fraction:
+    """The rational after `prefix` in a spec such as `lambda=1/3` or `j=0`;
+    text that is not a rational, or a zero denominator, is a CurveSpecError."""
+    try:
+        return Fraction(spec[len(prefix) :].strip())
+    except (ValueError, ZeroDivisionError):
+        raise CurveSpecError(f"bad rational in {spec!r}") from None
+
+
 def parse_curve_spec(text: str):
     """Parse `lambda=<rational>` or `a=<int>,b=<int>`.
 
@@ -358,11 +367,7 @@ def parse_curve_spec(text: str):
     """
     text = text.strip()
     if text.startswith("lambda="):
-        try:
-            lam = Fraction(text[len("lambda=") :].strip())
-        except (ValueError, ZeroDivisionError):
-            raise CurveSpecError(f"bad rational in {text!r}") from None
-        model = legendre_model(lam)
+        model = legendre_model(parse_spec_rational(text, "lambda="))
         return model.curve, model
     m = _AB_SPEC.match(text)
     if m:

@@ -2,11 +2,15 @@
 determinants, polynomial evaluation at a matrix, and a seeded GL_n(Z)
 generator of (B, B^-1) pairs.
 
-One elimination gives the Smith form two ways.  smith_diagonal returns the
-diagonal alone, checked against the Bareiss determinant (prod(d) = |det|, or
-a trailing 0 when det = 0); it is what invariants read.  snf also mirrors
-every step into unimodular transforms P, Q and verifies the certificate
-P * M * Q = diag(d); the `snf` command and unimodular_inverse use it.
+One reduction, _smith, gives the Smith form two ways; it reduces the leading
+n x n block of a list of rows, and whatever the rows carry beyond that block
+takes the same steps.  smith_diagonal passes the bare rows of M and returns
+the diagonal alone, checked against the Bareiss determinant (prod(d) = |det|,
+or a trailing 0 when det = 0); it is what invariants read.  snf passes the
+bordered rows [M | I] followed by the rows of I, reads the unimodular
+transforms P from the border and Q from the trailing rows, and verifies the
+certificate P * M * Q = diag(d); the `snf` command and unimodular_inverse
+use it.
 
 Everything runs on Python's arbitrary-precision integers; there is no
 floating point and no entry-size limit anywhere in this module.
@@ -102,9 +106,6 @@ class IntMatrix:
             [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
         )
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in r] for r in self.rows])
-
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
 
@@ -184,11 +185,8 @@ class SmithDecomposition:
     p_left: IntMatrix
     q_right: IntMatrix
 
-    def diag_matrix(self) -> IntMatrix:
-        return IntMatrix.diagonal(self.d)
-
     def verify(self, m: IntMatrix) -> bool:
-        if (self.p_left @ m) @ self.q_right != self.diag_matrix():
+        if (self.p_left @ m) @ self.q_right != IntMatrix.diagonal(self.d):
             return False
         if not (is_unimodular(self.p_left) and is_unimodular(self.q_right)):
             return False
@@ -208,16 +206,17 @@ def _is_smith_chain(d) -> bool:
 def snf(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms: returns (d, P, Q) with PMQ = diag(d).
 
-    Runs the elimination and chain fold of smith_diagonal with every row step
-    mirrored into P and every column step into Q, then verifies the
-    certificate P * M * Q == diag(d).
+    Reduces the bordered rows [M | I] followed by the n rows of I: row steps
+    act on whole rows, so columns n..2n-1 of the top rows end as P, and
+    column steps act on every row, so the trailing rows end as Q.  The
+    certificate P * M * Q == diag(d) is then verified.
     """
     n = m.n
-    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d = _diagonalize([list(row) for row in m.rows], p, q)
-    _fold_chain(d, p, q)
-    result = SmithDecomposition(tuple(d), IntMatrix(p), IntMatrix(q))
+    eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    a = [list(row) + e for row, e in zip(m.rows, eye)] + eye
+    d = _smith(a, n)
+    p_left = IntMatrix(row[n:] for row in a[:n])
+    result = SmithDecomposition(tuple(d), p_left, IntMatrix(a[n:]))
     if not result.verify(m):
         raise RuntimeError("Smith form certificate P*M*Q == diag(d) failed to verify")
     return result
@@ -226,13 +225,12 @@ def snf(m: IntMatrix) -> SmithDecomposition:
 def smith_diagonal(m: IntMatrix) -> tuple:
     """Smith diagonal of m, without the transforms P and Q.
 
-    The same elimination and chain fold as snf, with nothing mirrored.  The
-    result is checked against an independent Bareiss determinant: the product
-    of the diagonal is |det(m)| when det(m) != 0, and the diagonal ends in a
-    zero when det(m) == 0.
+    The reduction of snf on the bare rows of m, so nothing beyond the n x n
+    block is carried.  The result is checked against an independent Bareiss
+    determinant: the product of the diagonal is |det(m)| when det(m) != 0,
+    and the diagonal ends in a zero when det(m) == 0.
     """
-    d = _diagonalize([list(row) for row in m.rows])
-    _fold_chain(d)
+    d = _smith([list(row) for row in m.rows], m.n)
     det = determinant(m)
     consistent = prod(d) == abs(det) if det else d[-1] == 0
     if not (consistent and _is_smith_chain(d)):
@@ -240,15 +238,19 @@ def smith_diagonal(m: IntMatrix) -> tuple:
     return tuple(d)
 
 
-def _diagonalize(a, p=None, q=None) -> list:
-    """Reduce the rows a of a square matrix to diagonal form in place.
+def _smith(a, n) -> list:
+    """Reduce the leading n x n block of the rows a to Smith form, in place.
 
-    Pivoting picks the nonzero entry of least absolute value in the working
-    submatrix, which keeps intermediate entries small.  Each row step on a is
-    mirrored into p, and each column step into q, when they are given.
-    Returns the diagonal: positive entries, then zeros.
+    Row steps act on whole rows of a, column steps on every row below the
+    current pivot (the rows above are zero in the block's remaining
+    columns), so any columns past n and any rows past n carry the steps
+    along.  Pivoting picks the block entry of least absolute value, which
+    keeps intermediate entries small.  The diagonal is then folded into a
+    divisibility chain: each offending adjacent pair (x, y) takes the
+    unimodular 2x2 transforms P2, Q2 with P2 * diag(x, y) * Q2 =
+    diag(gcd, lcm), so the block stays diagonal.  Returns the diagonal:
+    positive entries, each dividing the next, then zeros.
     """
-    n = len(a)
     for t in range(n):
         while True:
             pivot = None
@@ -265,62 +267,49 @@ def _diagonalize(a, p=None, q=None) -> list:
                 if best == 1:
                     break  # no entry is smaller
             if pivot is None:
-                return [a[i][i] for i in range(n)]  # remaining block is zero
-            # rows above t are zero from column t on, so column steps skip them
+                break  # remaining block is zero
             i, j = pivot
             if i != t:
                 a[t], a[i] = a[i], a[t]
-                if p is not None:
-                    p[t], p[i] = p[i], p[t]
-            cols = a[t:] if q is None else a[t:] + q
             if j != t:
-                for row in cols:
+                for row in a[t:]:
                     row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-                if p is not None:
-                    p[t] = [-x for x in p[t]]
             pivot_row = a[t]
             lead = pivot_row[t]
             for r in range(t + 1, n):
                 if a[r][t] != 0:
                     k = -(a[r][t] // lead)
                     a[r] = [x + k * y for x, y in zip(a[r], pivot_row)]
-                    if p is not None:
-                        p[r] = [x + k * y for x, y in zip(p[r], p[t])]
-            cols = a[t:] if q is None else a[t:] + q
+            below = a[t:]
             for c in range(t + 1, n):
                 if pivot_row[c] != 0:
                     k = -(pivot_row[c] // lead)
-                    for row in cols:
+                    for row in below:
                         row[c] += k * row[t]
-            if not any(pivot_row[t + 1:]) and not any(a[r][t] for r in range(t + 1, n)):
+            if not any(pivot_row[t + 1:n]) and not any(a[r][t] for r in range(t + 1, n)):
                 break
-    return [a[i][i] for i in range(n)]
-
-
-def _fold_chain(d, p=None, q=None) -> None:
-    """Make the nonzero prefix of d a divisibility chain, in place.
-
-    Each offending adjacent pair (x, y) is folded into (gcd, lcm).  With p and
-    q the fold is mirrored by the unimodular 2x2 transforms P2, Q2 with
-    P2 * diag(x, y) * Q2 = diag(gcd, lcm).
-    """
-    rank = sum(1 for x in d if x != 0)
+        if pivot is None:
+            break
+    rank = sum(1 for i in range(n) if a[i][i] != 0)
     changed = True
     while changed:
         changed = False
         for i in range(rank - 1):
-            x, y = d[i], d[i + 1]
+            x, y = a[i][i], a[i + 1][i + 1]
             if y % x != 0:
                 changed = True
                 g = gcd(x, y)
-                d[i], d[i + 1] = g, x // g * y
-                if p is not None:
-                    # Bezout u*x + v*y = g
-                    u, v = _bezout(x, y)
-                    _apply_2x2_left(p, i, ((u, v), (-(y // g), x // g)))
-                    _apply_2x2_right(q, i, ((1, -(v * y) // g), (1, (u * x) // g)))
+                u, v = _bezout(x, y)  # u*x + v*y = g
+                xg, yg = x // g, y // g
+                ri, rj = a[i], a[i + 1]
+                a[i] = [u * s + v * w for s, w in zip(ri, rj)]
+                a[i + 1] = [xg * w - yg * s for s, w in zip(ri, rj)]
+                for row in a:
+                    ci, cj = row[i], row[i + 1]
+                    row[i], row[i + 1] = ci + cj, u * xg * cj - v * yg * ci
+    return [a[i][i] for i in range(n)]
 
 
 def _bezout(x: int, y: int):
@@ -336,21 +325,6 @@ def _bezout(x: int, y: int):
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
     return old_s, old_t
-
-
-def _apply_2x2_left(mat, i, m2):
-    """Rows i, i + 1 of mat <- m2 * those rows."""
-    ri, rj = mat[i], mat[i + 1]
-    mat[i] = [m2[0][0] * x + m2[0][1] * y for x, y in zip(ri, rj)]
-    mat[i + 1] = [m2[1][0] * x + m2[1][1] * y for x, y in zip(ri, rj)]
-
-
-def _apply_2x2_right(mat, i, m2):
-    """Columns i, i + 1 of mat <- those columns * m2."""
-    for row in mat:
-        ci, cj = row[i], row[i + 1]
-        row[i] = ci * m2[0][0] + cj * m2[1][0]
-        row[i + 1] = ci * m2[0][1] + cj * m2[1][1]
 
 
 def determinant(m: IntMatrix) -> int:

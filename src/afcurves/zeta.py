@@ -319,13 +319,10 @@ def trace_frobenius(e, p: int) -> int:
 def _curve_counts(a_p: int, p: int, order: int) -> list:
     """#E(F_{p^n}) = p^n + 1 - t_n for n = 1..order, where
     t_n = phi^n + phibar^n with phi + phibar = a_p and phi * phibar = p."""
-    out = []
-    t_prev, t, q = 2, a_p, p
-    for _ in range(order):
-        out.append(q + 1 - t)
-        t_prev, t = t, a_p * t - p * t_prev
-        q *= p
-    return out
+    t = [2, a_p]
+    for _ in range(order - 1):
+        t.append(a_p * t[-1] - p * t[-2])
+    return [p**n + 1 - t[n] for n in range(1, order + 1)]
 
 
 def count_points(e, p: int, n: int = 1) -> int:

@@ -75,6 +75,25 @@ class TestSnf:
     def test_identity(self):
         assert smith_d(IntMatrix.identity(3)) == (1, 1, 1)
 
+    @pytest.mark.parametrize(
+        "diag,d,p,q",
+        [
+            ((2, 3), (1, 6), ((-1, 1), (-3, 2)), ((1, -3), (1, -2))),
+            # two chain folds: (2, 3, 5) -> (1, 6, 5) -> (1, 1, 30)
+            (
+                (2, 3, 5),
+                (1, 1, 30),
+                ((-1, 1, 0), (-3, 2, -1), (15, -10, 6)),
+                ((1, -3, -15), (1, -2, -10), (0, 1, 6)),
+            ),
+        ],
+    )
+    def test_chain_fold_certificate_is_pinned(self, diag, d, p, q):
+        dec = snf(IntMatrix.diagonal(diag))
+        assert dec.d == d
+        assert dec.p_left == IntMatrix(p)
+        assert dec.q_right == IntMatrix(q)
+
     @pytest.mark.parametrize("entry,expected", [(0, (0,)), (1, (1,)), (-7, (7,))])
     def test_one_by_one(self, entry, expected):
         assert smith_d(IntMatrix([[entry]])) == expected
