@@ -31,7 +31,6 @@ from .elliptic import (
     j_from_lambda,
     lambda_orbit,
     legendre_model,
-    legendre_to_weierstrass,
     mul_point,
     rational_lambdas_from_j,
     torsion_subgroup,

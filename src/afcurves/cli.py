@@ -140,9 +140,7 @@ def _cmd_bowen_franks(args) -> int:
 def _cmd_probe(args) -> int:
     a = af_invariant.validate_incidence(exact_linalg.parse_matrix(args.matrix))
     p = exact_linalg.parse_poly(args.poly)
-    report = af_invariant.invariance_probe(
-        a, p, trials=args.trials, seed=args.seed, steps=args.steps
-    )
+    report = af_invariant.invariance_probe(a, p, trials=args.trials, seed=args.seed)
     _emit(report, args.format)
     return 0 if report.failures == 0 else 1
 
@@ -204,7 +202,7 @@ def _cmd_zeta(args) -> int:
     curve, _model = elliptic.parse_curve_spec(args.curve)
     m = exact_linalg.parse_matrix(args.matrix)
     a = af_invariant.validate_incidence(m)
-    primes = sorted({int(tok) for tok in args.primes.split(",") if tok.strip()})
+    primes = sorted(set(exact_linalg.parse_int_list(args.primes, "prime")))
     payload = []
     for p in primes:
         if not zeta.is_prime(p):
@@ -305,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("matrix")
     p_probe.add_argument("--poly", required=True)
     p_probe.add_argument("--trials", type=int, default=100)
-    p_probe.add_argument("--steps", type=int, default=20)
     p_probe.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help="seed for the conjugates"
     )
@@ -354,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_OPTIONS = frozenset(
-    ("--poly", "--primes", "--alpha", "--order", "--trials", "--steps",
-     "--seed", "--format")
+    ("--poly", "--primes", "--alpha", "--order", "--trials", "--seed", "--format")
 )
 
 

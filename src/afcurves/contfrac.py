@@ -3,9 +3,11 @@
 The expansion runs on the classical integer (P, Q) state recurrence for
 theta = (P + sqrt(D)) / Q, detects the period as the first repeated state,
 and never touches floating point: floors near integer boundaries are taken
-with isqrt bracketing.  The minimal period maps to an incidence matrix as a
-product of 2x2 blocks [[a, 1], [1, 0]], squared when the plain product is
-not yet strictly positive (period length 1).
+with isqrt bracketing.  A state fixes its complete quotient, because sqrt(D)
+is irrational, so the first repeated state already gives the minimal period
+(and preperiod).  The period maps to an incidence matrix as a product of 2x2
+blocks [[a, 1], [1, 0]], squared when the plain product is not yet strictly
+positive (period length 1).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .af_invariant import IncidenceMatrix, validate_incidence
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, to_fraction
 
 
 class NotIrrational(ValueError):
@@ -56,7 +58,7 @@ class QuadraticIrrational:
 
     def compare_to(self, r: Fraction) -> int:
         """Sign of (self - r), computed exactly: -1, 0 never occurs, or +1."""
-        r = Fraction(r)
+        r = to_fraction(r)
         # self - r = ((p*rd - rn*q) + rd*sqrt(d)) / (q*rd)
         u = self.p_num * r.denominator - r.numerator * self.q_den
         v = r.denominator
@@ -130,7 +132,7 @@ def expand(theta: QuadraticIrrational) -> PeriodicCF:
     States (P_i, Q_i) follow P_{i+1} = a_i Q_i - P_i and
     Q_{i+1} = (D - P_{i+1}^2) / Q_i (exact division by the canonical
     invariant); the expansion is eventually periodic, and the first repeated
-    state closes the cycle.
+    state closes the cycle, which is then the minimal period.
     """
     d = theta.d_rad
     p, q = theta.p_num, theta.q_den
@@ -143,17 +145,7 @@ def expand(theta: QuadraticIrrational) -> PeriodicCF:
         p = a * q - p
         q = (d - p * p) // q
     start = seen[(p, q)]
-    period = _minimal_period(tuple(quotients[start:]))
-    return PeriodicCF(tuple(quotients[:start]), period)
-
-
-def _minimal_period(cycle: tuple) -> tuple:
-    """Smallest block generating the detected cycle (tests every divisor)."""
-    n = len(cycle)
-    for length in range(1, n + 1):
-        if n % length == 0 and cycle == cycle[:length] * (n // length):
-            return cycle[:length]
-    return cycle
+    return PeriodicCF(tuple(quotients[:start]), tuple(quotients[start:]))
 
 
 def incidence_from_period(cf: PeriodicCF) -> IncidenceMatrix:

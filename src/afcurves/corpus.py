@@ -28,7 +28,7 @@ from .af_invariant import (
 )
 from .contfrac import QuadraticIrrational, expand, incidence_from_period, parse_surd
 from .elliptic import CurveQ, legendre_model, torsion_subgroup
-from .exact_linalg import IntPolynomial, parse_matrix, parse_poly
+from .exact_linalg import IntPolynomial, parse_matrix, parse_poly, to_fraction
 
 
 class CorpusError(ValueError):
@@ -159,6 +159,8 @@ def _int_cell(value) -> int:
 
 
 def _entry_from_mapping(record: dict) -> CorpusEntry:
+    if not isinstance(record, dict):
+        raise CorpusError(f"entry must be an object, got {type(record).__name__}")
     label = str(record.get("label", ""))
     lam = record.get("lambda")
     ab = None
@@ -173,7 +175,7 @@ def _entry_from_mapping(record: dict) -> CorpusEntry:
         polys = [polys]
     return CorpusEntry(
         label=label,
-        lam=Fraction(str(lam)) if lam not in (None, "") else None,
+        lam=to_fraction(lam) if lam not in (None, "") else None,
         ab=ab,
         theta=parse_surd(theta) if theta not in (None, "") else None,
         matrix=parse_matrix(matrix) if matrix not in (None, "") else None,

@@ -7,7 +7,7 @@ bisection), conversion to an integral short Weierstrass model
 y^2 = x^3+ax+b, the exact chord-and-tangent group law, and rational torsion
 subgroups from a strong Nagell-Lutz scan over an explicit window of integer
 x.  Searches past _STEP_CAP steps raise BudgetExceeded before they start.
-All arithmetic is exact (Fraction).
+All arithmetic is exact (Fraction); a float argument raises TypeError.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .af_invariant import AbelianGroup
-from .exact_linalg import BudgetExceeded
+from .exact_linalg import BudgetExceeded, to_fraction
 
 # Steps a curve search may take before it raises BudgetExceeded instead.
 _STEP_CAP = 1 << 22
@@ -42,7 +42,7 @@ class CurveSpecError(ValueError):
 
 
 def _check_lambda(lam) -> Fraction:
-    lam = Fraction(lam)
+    lam = to_fraction(lam)
     if lam == 0 or lam == 1:
         raise SingularLambda(f"lambda must avoid 0 and 1, got {lam}")
     return lam
@@ -85,7 +85,7 @@ def rational_lambdas_from_j(j) -> list:
     a double root sits on c), and exact bisection covers the rest.  Empty
     when no rational parameter exists (e.g. j = 0).
     """
-    j = Fraction(j)
+    j = to_fraction(j)
     jn, k = j.numerator, 256 * j.denominator
 
     def g(y):
@@ -140,7 +140,7 @@ class CurveQ:
         return Fraction(1728 * 4 * self.a**3, 4 * self.a**3 + 27 * self.b**2)
 
     def rhs(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
+        x = to_fraction(x)
         return x**3 + self.a * x + self.b
 
     def contains(self, pt: "Point") -> bool:
@@ -163,8 +163,8 @@ class Point:
         if (self.x is None) != (self.y is None):
             raise ValueError("both coordinates or neither")
         if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+            object.__setattr__(self, "x", to_fraction(self.x))
+            object.__setattr__(self, "y", to_fraction(self.y))
 
     @property
     def is_infinity(self) -> bool:
@@ -233,8 +233,8 @@ class LegendreModel:
     shift: Fraction
 
     def to_weierstrass(self, x_leg, y_leg) -> Point:
-        x = (Fraction(x_leg) - self.shift) * self.u**2
-        return Point(x, Fraction(y_leg) * self.u**3)
+        x = (to_fraction(x_leg) - self.shift) * self.u**2
+        return Point(x, to_fraction(y_leg) * self.u**3)
 
     def to_legendre(self, pt: Point):
         if pt.is_infinity:
@@ -268,11 +268,6 @@ def legendre_model(lam) -> LegendreModel:
             curve = CurveQ(int(ia), int(ib))
             return LegendreModel(lam, curve, u, (1 + lam) / 3)
     raise RuntimeError("u = 3*denominator always clears denominators")
-
-
-def legendre_to_weierstrass(lam) -> CurveQ:
-    """Integral short Weierstrass model of y^2 = x(x-1)(x-lambda)."""
-    return legendre_model(lam).curve
 
 
 # the 15 torsion groups that can occur over Q

@@ -22,15 +22,26 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, prod
 
 
 class MatrixParseError(ValueError):
-    """Malformed matrix or polynomial text; carries the offending position."""
+    """Bad matrix, polynomial or integer-list text; names the token and position."""
 
 
 class BudgetExceeded(ValueError):
     """The input is past the size this library decides exactly."""
+
+
+def to_fraction(value) -> Fraction:
+    """Fraction(value) for an int, a Fraction or a `p/q` string; a float
+    raises TypeError instead of being read as its binary expansion."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is inexact; pass an int, Fraction or 'p/q'")
+    return Fraction(value)
 
 
 class IntMatrix:
@@ -482,16 +493,22 @@ def format_matrix(m: IntMatrix) -> str:
     return ";".join(",".join(str(x) for x in row) for row in m.rows)
 
 
-def parse_poly(text: str) -> IntPolynomial:
-    coeffs = []
+def parse_int_list(text: str, noun: str) -> list:
+    """Comma-separated integers; a bad cell raises MatrixParseError naming
+    it as a `noun` with its 1-based position."""
+    out = []
     for j, cell in enumerate(text.strip().split(",")):
         try:
-            coeffs.append(int(cell.strip()))
+            out.append(int(cell.strip()))
         except ValueError:
             raise MatrixParseError(
-                f"bad coefficient {cell.strip()!r} at position {j + 1}"
+                f"bad {noun} {cell.strip()!r} at position {j + 1}"
             ) from None
-    return IntPolynomial(coeffs)
+    return out
+
+
+def parse_poly(text: str) -> IntPolynomial:
+    return IntPolynomial(parse_int_list(text, "coefficient"))
 
 
 def format_poly(p: IntPolynomial) -> str:

@@ -335,8 +335,8 @@ def count_points(e, p: int, n: int = 1) -> int:
     """
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    _check_good_odd_prime(e, p)
     if n == 1:
+        _check_good_odd_prime(e, p)
         if p <= RESIDUE_COUNT_MAX:
             return _count_points_prime_field(e, p)
         return _count_points_shanks_mestre(e, p)
@@ -364,7 +364,6 @@ def curve_local_zeta(e, p: int, order: int) -> ZetaSeries:
     """Local zeta series of the curve at p, to the given order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    _check_good_odd_prime(e, p)
     a_p = trace_frobenius(e, p)
     counts = _curve_counts(a_p, p, order)
     exp_coeffs = [Fraction(1)]
@@ -424,7 +423,7 @@ def operator_local_zeta_counts(
     if order < 0:
         raise ValueError("order must be >= 0")
     bad = is_bad_prime(a, p)
-    return _operator_counts(None if bad else mat_pow(a.m, p).trace(), p, order, alpha)
+    return _operator_counts(None if bad else lp_matrix(a, p)[0, 0], p, order, alpha)
 
 
 def _operator_counts(trace_power: int | None, p: int, order: int, alpha) -> list:
@@ -478,12 +477,11 @@ def compare_local(
     alpha: int | None = None,
 ) -> LocalZetaReport:
     """Assemble both local sequences at p with per-n equality flags."""
-    _check_good_odd_prime(e, p)
+    a_p = trace_frobenius(e, p)
     if order < 0:
         raise ValueError("order must be >= 0")
-    a_p = trace_frobenius(e, p)
     curve_counts = tuple(_curve_counts(a_p, p, order))
-    trace_power = mat_pow(a.m, p).trace()
+    trace_power = lp_matrix(a, p)[0, 0]
     bad = is_bad_prime(a, p)
     operator_counts = tuple(
         _operator_counts(None if bad else trace_power, p, order, alpha)

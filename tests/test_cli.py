@@ -238,6 +238,13 @@ class TestZetaCommand:
         assert code == 0
         assert payload[0]["error"] == "ValueError"
 
+    def test_bad_prime_token_has_position(self, capsys):
+        code, out, err = run_cli(
+            capsys, "zeta", "lambda=-1", "5,2;2,1", "--primes", "3,x"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: MatrixParseError: bad prime 'x' at position 2\n"
+
     def test_bad_branch_odd_prime_needs_alpha(self, capsys):
         # tr([[3,2],[1,1]])^2 - 4 = 12: p = 3 takes the degenerate branch
         code, payload, _ = run_json(

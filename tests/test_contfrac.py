@@ -53,6 +53,11 @@ class TestQuadraticIrrational:
         with pytest.raises(TypeError):
             QuadraticIrrational(1.5, 2.9, 1)
 
+    def test_compare_to_rejects_float(self):
+        assert SQRT2.compare_to(Fraction(7, 5)) == SQRT2.compare_to("7/5") == 1
+        with pytest.raises(TypeError):
+            SQRT2.compare_to(1.4)
+
     @given(surds(), st.fractions())
     @settings(max_examples=80, deadline=None)
     def test_compare_to_matches_float_free_oracle(self, theta, r):
@@ -82,6 +87,26 @@ class TestExpand:
         assert cf.preperiod[0] < 0
         assert all(a >= 1 for a in cf.preperiod[1:])
         assert all(a >= 1 for a in cf.period)
+
+    def test_first_cycle_is_minimal_on_a_grid(self):
+        # p in [-10, 10], non-square d <= 60, q in [-6, 6] \ {0}: 13,356 surds
+        count = 0
+        for d in range(2, 61):
+            if isqrt(d) ** 2 == d:
+                continue
+            for p in range(-10, 11):
+                for q in range(-6, 7):
+                    if q == 0:
+                        continue
+                    cf = expand(QuadraticIrrational(p, d, q))
+                    period, n = cf.period, len(cf.period)
+                    assert not any(
+                        n % k == 0 and period == period[:k] * (n // k)
+                        for k in range(1, n)
+                    ), (p, d, q)
+                    assert not cf.preperiod or cf.preperiod[-1] != period[-1], (p, d, q)
+                    count += 1
+        assert count == 13_356
 
     @given(surds())
     @settings(max_examples=200, deadline=None)

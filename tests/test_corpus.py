@@ -209,6 +209,23 @@ class TestLoadCorpus:
         assert isinstance(truncated, InvalidEntry)
         assert truncated.error.startswith("TypeError")
 
+    def test_float_lambda_becomes_invalid_entry(self, tmp_path):
+        row = {"label": "exact", "lambda": "1/10", "matrix": "5,2;2,1", "poly": "-1,1"}
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([row, dict(row, label="float", **{"lambda": 0.1})]))
+        exact, inexact = load_corpus(str(path))
+        assert exact.lam == Fraction(1, 10)
+        assert isinstance(inexact, InvalidEntry) and inexact.label == "float"
+        assert inexact.error.startswith("TypeError")
+
+    def test_non_object_row_becomes_invalid_entry(self, tmp_path):
+        row = {"label": "fine", "lambda": "-1", "matrix": "5,2;2,1", "poly": "-1,1"}
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([1, row]))
+        bad, fine = load_corpus(str(path))
+        assert bad == InvalidEntry("?", "CorpusError: entry must be an object, got int")
+        assert run_corpus([bad, fine])[1].verdicts[0].verdict == "match"
+
     def test_missing_file_is_corpus_error(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read corpus file"):
             load_corpus(str(tmp_path / "absent.json"))

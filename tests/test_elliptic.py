@@ -19,7 +19,6 @@ from afcurves.elliptic import (
     j_from_lambda,
     lambda_orbit,
     legendre_model,
-    legendre_to_weierstrass,
     mul_point,
     negate,
     parse_curve_spec,
@@ -116,13 +115,13 @@ class TestRationalLambdasFromJ:
 
 class TestLegendreToWeierstrass:
     def test_cm_curve(self):
-        assert legendre_to_weierstrass(Fraction(-1)) == CurveQ(-1, 0)
+        assert legendre_model(Fraction(-1)).curve == CurveQ(-1, 0)
 
     def test_lambda_two_preserves_j(self):
-        assert legendre_to_weierstrass(Fraction(2)).j_invariant() == 1728
+        assert legendre_model(Fraction(2)).curve.j_invariant() == 1728
 
     def test_lambda_half_integral_model(self):
-        e = legendre_to_weierstrass(Fraction(1, 2))
+        e = legendre_model(Fraction(1, 2)).curve
         assert e == CurveQ(-4, 0)
         assert e.disc != 0
         assert e.j_invariant() == 1728
@@ -130,7 +129,7 @@ class TestLegendreToWeierstrass:
     @given(legendre_params())
     @settings(max_examples=60)
     def test_model_is_integral_with_matching_j(self, lam):
-        e = legendre_to_weierstrass(lam)
+        e = legendre_model(lam).curve
         assert isinstance(e.a, int) and isinstance(e.b, int)
         assert e.j_invariant() == j_from_lambda(lam)
 
@@ -244,6 +243,27 @@ class TestTorsionSubgroup:
             if curve.disc % p == 0:
                 continue
             assert count_points(curve, p, 1) % order == 0
+
+
+class TestFloatsRejected:
+    """Every place a caller's value becomes a Fraction refuses a float."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            j_from_lambda,
+            rational_lambdas_from_j,
+            lambda x: Point(x, 1),
+            lambda x: CurveQ(-1, 0).rhs(x),
+            lambda x: legendre_model(-1).to_weierstrass(x, 0),
+        ],
+        ids=["check_lambda", "lambdas_from_j", "point", "rhs", "to_weierstrass"],
+    )
+    def test_boundary(self, call):
+        with pytest.raises(TypeError):
+            call(0.5)
+        for exact in (3, Fraction(1, 2), "1/2"):
+            call(exact)
 
 
 class TestCurveSpecParsing:

@@ -305,6 +305,28 @@ class TestOperatorCounts:
             operator_local_zeta_counts(A_STD, 2, 3, alpha=2)
 
 
+class TestErrorPrecedence:
+    """Each entry point checks p once, through count_points at n = 1; these
+    pin which error wins when an argument breaks two rules."""
+
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: compare_local(E_CM, A_STD, 9, -1), ValueError, "9 is not prime"),
+            (lambda: curve_local_zeta(E_CM, 9, -1), ValueError, "order must be >= 0"),
+            (lambda: count_points(CurveQ(-1, 1), 23, 2), BadReduction, "divides"),
+            (lambda: count_points(E_CM, 9, 2), ValueError, "9 is not prime"),
+            (lambda: count_points(E_CM, 2, 2), UnsupportedCharacteristic, "p = 2"),
+        ],
+        ids=["compare_prime_first", "zeta_order_first", "bad_reduction_n2",
+             "not_prime_n2", "char_two_n2"],
+    )
+    def test_which_error_wins(self, call, error, message):
+        with pytest.raises(error, match=message) as exc:
+            call()
+        assert type(exc.value) is error
+
+
 class TestCompareLocal:
     def test_p5_report(self):
         report = compare_local(E_CM, A_STD, 5, 3)
