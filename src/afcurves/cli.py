@@ -350,35 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_OPTIONS = frozenset(
-    ("--poly", "--primes", "--alpha", "--order", "--trials", "--seed", "--format")
-)
-
-
-def _merge_option_values(argv):
-    """Turn `--poly -1,1` into `--poly=-1,1` so values with a leading dash
-    (negative coefficients) survive argparse."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_OPTIONS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser().parse_args(_merge_option_values(list(argv)))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # Before `--`, a token such as `-1,1` or `-4,2;2,0` is a value: a leading
+    # space keeps argparse from reading it as an option, and parsers strip it.
+    end = argv.index("--") if "--" in argv else len(argv)
+    argv[:end] = [
+        " " + t if t[:1] == "-" and t[1:2].isdigit() else t for t in argv[:end]
+    ]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
-        return _emit_error(exc, getattr(args, "format", "text"))
+        return _emit_error(exc, args.format)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,13 @@ from .af_invariant import (
 )
 from .contfrac import QuadraticIrrational, expand, incidence_from_period, parse_surd
 from .elliptic import CurveQ, legendre_model, torsion_subgroup
-from .exact_linalg import IntPolynomial, parse_matrix, parse_poly, to_fraction
+from .exact_linalg import (
+    IntPolynomial,
+    parse_int_list,
+    parse_matrix,
+    parse_poly,
+    to_fraction,
+)
 
 
 class CorpusError(ValueError):
@@ -146,16 +152,23 @@ def _parse_expected(raw) -> AbelianGroup | None:
     if raw is None or raw == "":
         return None
     if isinstance(raw, dict):
-        return AbelianGroup(tuple(raw.get("torsion", ())), raw.get("free_rank", 0))
+        torsion = tuple(map(_json_int, raw.get("torsion", ())))
+        return AbelianGroup(torsion, _json_int(raw.get("free_rank", 0)))
     text = str(raw).strip()
     if text.lower() == "trivial":
         return AbelianGroup(())
-    return AbelianGroup(tuple(int(x) for x in text.split(",")))
+    return AbelianGroup(tuple(parse_int_list(text, "torsion")))
+
+
+def _json_int(value) -> int:
+    if isinstance(value, bool):  # JSON true/false; operator.index refuses floats
+        raise TypeError(f"bool {value!r} is not an integer")
+    return operator.index(value)
 
 
 def _int_cell(value) -> int:
-    """An integer from a CSV string cell or a JSON number; a float raises."""
-    return int(value) if isinstance(value, str) else operator.index(value)
+    """An integer from a CSV string cell or a JSON integer."""
+    return int(value) if isinstance(value, str) else _json_int(value)
 
 
 def _entry_from_mapping(record: dict) -> CorpusEntry:

@@ -35,12 +35,14 @@ class BudgetExceeded(ValueError):
 
 
 def to_fraction(value) -> Fraction:
-    """Fraction(value) for an int, a Fraction or a `p/q` string; a float
-    raises TypeError instead of being read as its binary expansion."""
+    """Fraction(value) for an int, a Fraction or a `p/q` string; a float or
+    a bool raises TypeError rather than pass as its binary expansion or 0/1."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError(f"float {value!r} is inexact; pass an int, Fraction or 'p/q'")
+    if isinstance(value, (bool, float)):
+        raise TypeError(
+            f"{type(value).__name__} {value!r} is not an int, Fraction or 'p/q'"
+        )
     return Fraction(value)
 
 

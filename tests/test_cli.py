@@ -110,7 +110,8 @@ class TestProbeCommand:
         with pytest.raises(SystemExit) as exc:
             main(["snf", "--seed", "3", "4,2;2,0"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --seed=3" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert "afcurves: error: unrecognized arguments: --seed 4,2;2,0" in err
 
 
 class TestCfCommand:

@@ -218,6 +218,36 @@ class TestLoadCorpus:
         assert isinstance(inexact, InvalidEntry) and inexact.label == "float"
         assert inexact.error.startswith("TypeError")
 
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            {"a": True, "b": 0},
+            {"a": -1, "b": False},
+            {"lambda": True},
+            {"lambda": "-1", "expected_torsion": {"torsion": [True, 2]}},
+            {"lambda": "-1", "expected_torsion": {"torsion": [2], "free_rank": False}},
+        ],
+        ids=["a", "b", "lambda", "torsion", "free_rank"],
+    )
+    def test_boolean_cell_becomes_invalid_entry(self, tmp_path, cell):
+        row = {"label": "bool", "matrix": "5,2;2,1", "poly": "-1,1", **cell}
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([row]))
+        (entry,) = load_corpus(str(path))
+        assert isinstance(entry, InvalidEntry) and entry.label == "bool"
+        assert entry.error.startswith("TypeError: bool ")
+
+    def test_bad_expected_text_names_the_token(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text(
+            "label,lambda,matrix,poly,expected\n"
+            'gaussian,-1,"5,2;2,1","-1,1","2,x"\n'
+        )
+        (entry,) = load_corpus(str(path))
+        assert entry == InvalidEntry(
+            "gaussian", "MatrixParseError: bad torsion 'x' at position 2"
+        )
+
     def test_non_object_row_becomes_invalid_entry(self, tmp_path):
         row = {"label": "fine", "lambda": "-1", "matrix": "5,2;2,1", "poly": "-1,1"}
         path = tmp_path / "corpus.json"
