@@ -5,12 +5,15 @@ generator of (B, B^-1) pairs.
 One reduction, _smith, gives the Smith form two ways; it reduces the leading
 n x n block of a list of rows, and whatever the rows carry beyond that block
 takes the same steps.  smith_diagonal passes the bare rows of M and returns
-the diagonal alone, checked against the Bareiss determinant (prod(d) = |det|,
-or a trailing 0 when det = 0); it is what invariants read.  snf passes the
-bordered rows [M | I] followed by the rows of I, reads the unimodular
-transforms P from the border and Q from the trailing rows, and verifies the
-certificate P * M * Q = diag(d); the `snf` command and unimodular_inverse
-use it.
+the diagonal alone; it is what invariants read.  snf passes the bordered rows
+[M | I] followed by the rows of I, reads the transforms P from the border and
+Q from the trailing rows, and verifies the certificate P * M * Q = diag(d);
+the `snf` command and unimodular_inverse use it.
+
+Both routes check d by one rule against the Bareiss determinant of M: a
+Smith chain with prod(d) = |det M|, or ending in 0 when det M = 0.  When
+det M != 0 this proves P and Q unimodular (det P * det M * det Q = +-det M,
+so the integers det P, det Q are +-1); only a singular M has them taken.
 
 Everything runs on Python's arbitrary-precision integers; there is no
 floating point and no entry-size limit anywhere in this module.
@@ -99,7 +102,6 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
         ot = list(zip(*other.rows))
         return IntMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows]
@@ -199,21 +201,26 @@ class SmithDecomposition:
     q_right: IntMatrix
 
     def verify(self, m: IntMatrix) -> bool:
+        """P * M * Q == diag(d), d passes the determinant rule against det M,
+        and, for a singular M only, is_unimodular holds for P and Q."""
         if (self.p_left @ m) @ self.q_right != IntMatrix.diagonal(self.d):
             return False
-        if not (is_unimodular(self.p_left) and is_unimodular(self.q_right)):
+        det = determinant(m)
+        if not _smith_diagonal_matches(self.d, det):
             return False
-        return _is_smith_chain(self.d)
+        return det != 0 or (is_unimodular(self.p_left) and is_unimodular(self.q_right))
 
 
-def _is_smith_chain(d) -> bool:
-    """Nonzero entries first, each positive and dividing the next; then zeros."""
+def _smith_diagonal_matches(d, det: int) -> bool:
+    """d is a Smith chain (positive entries, each dividing the next, then
+    zeros) with prod(d) == |det|, or, when det == 0, one that ends in 0."""
     nonzero = [x for x in d if x != 0]
-    if list(d) != nonzero + [0] * (len(d) - len(nonzero)):
-        return False
-    if any(x < 1 for x in nonzero):
-        return False
-    return all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    return (
+        list(d) == nonzero + [0] * (len(d) - len(nonzero))
+        and all(x >= 1 for x in nonzero)
+        and all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+        and (prod(d) == abs(det) if det else d[-1] == 0)
+    )
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
@@ -240,13 +247,10 @@ def smith_diagonal(m: IntMatrix) -> tuple:
 
     The reduction of snf on the bare rows of m, so nothing beyond the n x n
     block is carried.  The result is checked against an independent Bareiss
-    determinant: the product of the diagonal is |det(m)| when det(m) != 0,
-    and the diagonal ends in a zero when det(m) == 0.
+    determinant by the rule verify uses.
     """
     d = _smith([list(row) for row in m.rows], m.n)
-    det = determinant(m)
-    consistent = prod(d) == abs(det) if det else d[-1] == 0
-    if not (consistent and _is_smith_chain(d)):
+    if not _smith_diagonal_matches(d, determinant(m)):
         raise RuntimeError("Smith diagonal failed the prod(d) == |det(m)| check")
     return tuple(d)
 

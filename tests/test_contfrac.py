@@ -1,3 +1,5 @@
+import functools
+import itertools
 from fractions import Fraction
 from math import isqrt
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.continued_fraction import continued_fraction_periodic
 
-from afcurves.af_invariant import quotient_group
+from afcurves.af_invariant import AbelianGroup, quotient_group
 from afcurves.contfrac import (
     NotIrrational,
     PeriodicCF,
@@ -214,6 +216,37 @@ class TestGl2zEquivalence:
         for coeffs in ((-1, 1), (1, 1), (-1, -1, 1)):
             p = IntPolynomial(coeffs)
             assert quotient_group(a.m, p) == quotient_group(b.m, p)
+
+    def test_pinned_equivalent_pair_gives_equal_groups(self):
+        x, y = parse_surd("sqrt(7)"), parse_surd("(2+sqrt(7))/3")
+        assert gl2z_equivalent(x, y)
+        for theta in (x, y):
+            m = incidence_from_period(expand(theta)).m
+            assert quotient_group(m, IntPolynomial([-1, 1])) == AbelianGroup((14,))
+
+    def test_equivalent_surds_give_equal_groups(self):
+        # oracle: every pair gl2z_equivalent accepts among small surds
+        # (p + sqrt(d))/q has the same invariant at each polynomial
+        polys = [IntPolynomial(c) for c in ((-1, 1), (1, 1), (-1, -1, 1), (1, -2, 0, 1))]
+        by_radicand = {}
+        for d in range(2, 16):
+            if isqrt(d) ** 2 != d:
+                for p, q in itertools.product(range(-3, 4), (-3, -2, -1, 1, 2, 3)):
+                    theta = QuadraticIrrational(p, d, q)
+                    by_radicand.setdefault(theta.d_rad, set()).add(theta)
+
+        @functools.cache
+        def groups(theta):
+            m = incidence_from_period(expand(theta)).m
+            return [quotient_group(m, p) for p in polys]
+
+        pairs = 0
+        for family in by_radicand.values():
+            for x, y in itertools.combinations(sorted(family, key=str), 2):
+                if gl2z_equivalent(x, y):
+                    pairs += 1
+                    assert groups(x) == groups(y), (x, y)
+        assert pairs > 1000
 
 
 class TestSurdParsing:

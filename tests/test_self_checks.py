@@ -1,12 +1,14 @@
 """Runtime self-checks are explicit raises, so they still run under `python -O`."""
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from afcurves import elliptic, exact_linalg, zeta
+from afcurves.exact_linalg import IntMatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "afcurves"
 
@@ -32,6 +34,34 @@ def test_snf_certificate_failure_raises(monkeypatch):
     monkeypatch.setattr(exact_linalg.SmithDecomposition, "verify", lambda self, m: False)
     with pytest.raises(RuntimeError, match="certificate"):
         exact_linalg.snf(exact_linalg.IntMatrix([[4, 2], [2, 0]]))
+
+
+@pytest.mark.parametrize(
+    "m,p_left,d",
+    [
+        # nonsingular: P*M*Q = diag(d) holds, but prod(d) = 2 != |det M| = 1
+        ([[1, 0], [0, 1]], [[1, 0], [0, 2]], (1, 2)),
+        # singular: the determinant rule passes; only is_unimodular sees det P = 2
+        ([[1, 0], [0, 0]], [[1, 0], [0, 2]], (1, 0)),
+    ],
+)
+def test_forged_certificate_fails_verify(m, p_left, d):
+    m, p_left, q_right = IntMatrix(m), IntMatrix(p_left), IntMatrix.identity(2)
+    assert (p_left @ m) @ q_right == IntMatrix.diagonal(d)
+    assert not exact_linalg.SmithDecomposition(d, p_left, q_right).verify(m)
+
+
+def test_verify_takes_transform_determinants_only_for_singular_m(monkeypatch):
+    def refuse(m):
+        raise LookupError("is_unimodular reached")
+
+    monkeypatch.setattr(exact_linalg, "is_unimodular", refuse)
+    rng = random.Random(6)
+    m = IntMatrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)])
+    assert exact_linalg.determinant(m) != 0
+    assert exact_linalg.snf(m).verify(m)
+    with pytest.raises(LookupError, match="is_unimodular reached"):
+        exact_linalg.snf(IntMatrix([[2, 4], [3, 6]]))
 
 
 @pytest.mark.parametrize(
