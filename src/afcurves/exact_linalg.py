@@ -15,6 +15,9 @@ Smith chain with prod(d) = |det M|, or ending in 0 when det M = 0.  When
 det M != 0 this proves P and Q unimodular (det P * det M * det Q = +-det M,
 so the integers det P, det Q are +-1); only a singular M has them taken.
 
+trace_power gives tr(M^k) from x^k modulo the characteristic polynomial
+(Cayley-Hamilton), in O(n^2 log k) big-integer products; M^k is not formed.
+
 Everything runs on Python's arbitrary-precision integers; there is no
 floating point and no entry-size limit anywhere in this module.
 """
@@ -384,6 +387,40 @@ def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
         if k:
             base = base @ base
     return result
+
+
+def trace_power(m: IntMatrix, k: int) -> int:
+    """Exact tr(m**k) for k >= 0 by Cayley-Hamilton; m**k is never formed.
+
+    With chi(x) = det(xI - m), x^k mod chi = sum r_i x^i by left-to-right
+    square-and-shift (n(n+1)/2 big products a squaring), so tr(m^k) =
+    sum r_i tr(m^i)."""
+    if k < 0:
+        raise ValueError("exponent must be nonnegative")
+    n = m.n
+    s, power = [n], IntMatrix.identity(n)
+    for _ in range(n):
+        power = power @ m
+        s.append(power.trace())
+    e = [1]  # chi's coefficients up to sign, by Newton's identities; // is exact
+    for i in range(1, n + 1):
+        e.append(sum((-1) ** (j - 1) * e[i - j] * s[j] for j in range(1, i + 1)) // i)
+    red = [(-1) ** (n - i + 1) * e[n - i] for i in range(n)]  # x^n mod chi
+    r = [1] + [0] * (n - 1)
+    for bit in bin(k)[2:]:
+        c = [0] * (2 * n - 1)
+        for i, a in enumerate(r):
+            c[2 * i] += a * a
+            for j in range(i + 1, n):
+                c[i + j] += (a * r[j]) << 1
+        if bit == "1":
+            c.insert(0, 0)
+        while len(c) > n:  # x^d = x^(d-n) * sum_i red[i] x^i
+            t = c.pop()
+            for i, q in enumerate(red, len(c) - n):
+                c[i] += t * q
+        r = c
+    return sum(a * b for a, b in zip(r, s))
 
 
 def mat_poly_eval(p: IntPolynomial, m: IntMatrix) -> IntMatrix:

@@ -11,7 +11,9 @@ constructed F_{p^n} table, are the tests' independent oracles.
 
 Operator side: the companion matrix L_p = [[tr(A^p), p], [-1, 0]] of an
 incidence matrix A and the cardinality sequence |det(I - L_p^n)|, with the
-degenerate branch |1 - alpha^n| when p divides tr(A)^2 - 4.
+degenerate branch |1 - alpha^n| when p divides tr(A)^2 - 4.  tr(A^p) is
+x^p reduced modulo the characteristic polynomial of A (Cayley-Hamilton,
+exact_linalg.trace_power), O(n^2 log p) big-integer products; no A^p.
 
 compare_local assembles both sequences side by side and records per-n
 equality flags without asserting them: whether the two local zetas agree
@@ -26,7 +28,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .af_invariant import IncidenceMatrix
-from .exact_linalg import BudgetExceeded, IntMatrix, mat_pow
+from .exact_linalg import BudgetExceeded, IntMatrix, trace_power
 
 ENUMERATION_MAX = 1_000_000
 # Mestre's theorem (Schoof 1995, Thm 3.2): above 229, E or its twist has
@@ -396,8 +398,9 @@ def curve_local_zeta(e, p: int, order: int) -> ZetaSeries:
 
 
 def lp_matrix(a: IncidenceMatrix, p: int) -> IntMatrix:
-    """The companion matrix [[tr(A^p), p], [-1, 0]] of A at the prime p."""
-    return IntMatrix([[mat_pow(a.m, p).trace(), p], [-1, 0]])
+    """The companion matrix [[tr(A^p), p], [-1, 0]] of A at the prime p; tr(A^p)
+    by trace_power (Cayley-Hamilton, O(n^2 log p) big products, no A^p)."""
+    return IntMatrix([[trace_power(a.m, p), p], [-1, 0]])
 
 
 def is_bad_prime(a: IncidenceMatrix, p: int) -> bool:
@@ -426,9 +429,9 @@ def operator_local_zeta_counts(
     return _operator_counts(None if bad else lp_matrix(a, p)[0, 0], p, order, alpha)
 
 
-def _operator_counts(trace_power: int | None, p: int, order: int, alpha) -> list:
+def _operator_counts(tr_ap: int | None, p: int, order: int, alpha) -> list:
     """operator_local_zeta_counts from tr(A^p), or None on the bad branch."""
-    if trace_power is None:
+    if tr_ap is None:
         if alpha is None:
             raise AlphaRequired(
                 f"p = {p} divides tr(A)^2 - 4; choose alpha in {{-1, 0, 1}}"
@@ -436,7 +439,7 @@ def _operator_counts(trace_power: int | None, p: int, order: int, alpha) -> list
         if alpha not in (-1, 0, 1):
             raise ValueError("alpha must be -1, 0, or 1")
         return [abs(1 - alpha**n) for n in range(1, order + 1)]
-    return [abs(c) for c in _curve_counts(trace_power, p, order)]
+    return [abs(c) for c in _curve_counts(tr_ap, p, order)]
 
 
 @dataclass(frozen=True)
@@ -481,10 +484,10 @@ def compare_local(
     if order < 0:
         raise ValueError("order must be >= 0")
     curve_counts = tuple(_curve_counts(a_p, p, order))
-    trace_power = lp_matrix(a, p)[0, 0]
+    tr_ap = lp_matrix(a, p)[0, 0]
     bad = is_bad_prime(a, p)
     operator_counts = tuple(
-        _operator_counts(None if bad else trace_power, p, order, alpha)
+        _operator_counts(None if bad else tr_ap, p, order, alpha)
     )
     return LocalZetaReport(
         prime=p,
@@ -495,7 +498,7 @@ def compare_local(
         ),
         operator_counts=operator_counts,
         operator_params=OperatorParams(
-            trace_power=trace_power,
+            trace_power=tr_ap,
             branch="bad" if bad else "good",
             alpha=alpha if bad else None,
         ),

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afcurves.af_invariant import AbelianGroup, quotient_group
@@ -22,6 +22,7 @@ from afcurves.exact_linalg import (
     random_glnz,
     smith_diagonal,
     snf,
+    trace_power,
     unimodular_inverse,
 )
 
@@ -208,6 +209,38 @@ class TestMatPow:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             mat_pow(A_STD, -1)
+
+
+class TestTracePower:
+    """trace_power against the trace of mat_pow, its oracle."""
+
+    @settings(deadline=None)
+    @given(square_matrices(max_n=5, max_entry=4), st.integers(0, 300))
+    @example(IntMatrix([[1, 2], [2, 4]]), 37)  # singular
+    @example(IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 2)  # nilpotent
+    @example(IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 3)
+    @example(IntMatrix([[0, 1], [1, 0]]), 299)  # det = -1
+    @example(IntMatrix([[2, 1], [1, 0]]), 300)  # det = -1
+    @example(IntMatrix.zero(4), 0)
+    def test_matches_mat_pow(self, m, k):
+        assert trace_power(m, k) == mat_pow(m, k).trace()
+
+    def test_power_zero_is_dimension(self):
+        for n in range(1, 6):
+            assert trace_power(IntMatrix.zero(n), 0) == n
+        assert trace_power(A_STD, 0) == 2
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            trace_power(A_STD, -1)
+
+    @pytest.mark.parametrize("c", [-3, -1, 0, 1, 7])
+    def test_one_by_one_is_a_power(self, c):
+        for k in range(12):
+            assert trace_power(IntMatrix([[c]]), k) == c**k
+
+    def test_standard_matrix_at_a_large_prime(self):
+        assert trace_power(A_STD, 10007) == mat_pow(A_STD, 10007).trace()
 
 
 class TestUnimodular:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from afcurves import zeta
+import afcurves.cli  # noqa: F401  (loads every afcurves module that could bind mat_pow)
+from afcurves import exact_linalg, zeta
 from afcurves.af_invariant import validate_incidence
 from afcurves.elliptic import CurveQ, legendre_model
 from afcurves.exact_linalg import IntMatrix, determinant, mat_pow
@@ -29,6 +31,8 @@ from afcurves.zeta import (
 
 E_CM = CurveQ(-1, 0)
 A_STD = validate_incidence(IntMatrix([[5, 2], [2, 1]]))
+# tr = 4, so tr^2 - 4 = 12 and 5, 7, 101 are good primes for it
+A_3X3 = validate_incidence(IntMatrix([[2, 1, 0], [0, 1, 1], [1, 1, 1]]))
 
 GOOD_ODD_PRIMES_UNDER_50 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -283,6 +287,16 @@ class TestOperatorCounts:
                 direct = determinant(IntMatrix.identity(2) - mat_pow(lp, n))
                 assert counts[n - 1] == abs(direct)
 
+    @pytest.mark.parametrize("p", [5, 7, 101])
+    def test_three_by_three_matches_direct_determinant(self, p):
+        assert not is_bad_prime(A_3X3, p)
+        lp = lp_matrix(A_3X3, p)
+        assert lp[0, 0] == mat_pow(A_3X3.m, p).trace()
+        counts = operator_local_zeta_counts(A_3X3, p, 6)
+        for n in range(1, 7):
+            direct = determinant(IntMatrix.identity(2) - mat_pow(lp, n))
+            assert counts[n - 1] == abs(direct)
+
     def test_bad_prime_detection(self):
         # tr(A)^2 - 4 = 32, so 2 is the only bad prime
         assert is_bad_prime(A_STD, 2)
@@ -376,3 +390,33 @@ class TestCompareLocal:
         assert report.operator_params.alpha == -1
         assert report.operator_counts == (2, 0)
         assert report.curve_counts == (4, 16)
+
+
+def test_compare_local_takes_no_matrix_power(monkeypatch):
+    """The operator side reads tr(A^p) without mat_pow: with mat_pow made to
+    raise under every name an afcurves module binds it to, compare_local
+    still gives the reports held to the mat_pow oracle."""
+    cases = [(A_STD, 10007), (A_3X3, 101)]
+    expected = []
+    for a, p in cases:
+        report = compare_local(E_CM, a, p, 3)
+        lp = IntMatrix([[mat_pow(a.m, p).trace(), p], [-1, 0]])
+        assert report.operator_params.trace_power == lp[0, 0]
+        assert report.operator_counts == tuple(
+            abs(determinant(IntMatrix.identity(2) - mat_pow(lp, n))) for n in (1, 2, 3)
+        )
+        expected.append(report)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mat_pow was called")
+
+    original = exact_linalg.mat_pow
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "afcurves" or name.startswith("afcurves.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+                    bound += 1
+    assert bound >= 2  # exact_linalg and the package namespace at least
+    assert [compare_local(E_CM, a, p, 3) for a, p in cases] == expected
