@@ -22,6 +22,8 @@ from . import af_invariant, contfrac, corpus, elliptic, exact_linalg, zeta
 
 DEFAULT_SEED = 1729
 CORPUS_ENV = "AFCURVES_CORPUS"
+PRINTABLE_DIGITS = 4300  # CPython's default cap on int-to-str conversion
+_PRINTABLE_BITS = (10**PRINTABLE_DIGITS).bit_length() - 1  # such ints always print
 
 
 def encode(value, text: bool = False):
@@ -198,6 +200,19 @@ def _cmd_jmap(args) -> int:
     return 0
 
 
+def _zeta_row_bits(m: exact_linalg.IntMatrix, p: int, order: int) -> int:
+    """A bound on the bits of every integer a zeta row prints.  |tr(A^p)| <=
+    T = n * ||A||^p (||A|| the largest row sum: log2 n + p log2 ||A|| bits);
+    R = T + p + 1 bounds the roots of x^2 - tr(A^p) x + p and the Frobenius
+    roots, so each count at k <= order is at most 4 R^k.  ||A||^p is at
+    least 2^(p (bits(||A||) - 1)), so past the cap that exponent is enough."""
+    norm = max(sum(map(abs, row)) for row in m.rows)
+    floor_bits = p * (norm.bit_length() - 1)
+    if floor_bits > _PRINTABLE_BITS:
+        return floor_bits
+    return 2 + max(order, 1) * (m.n * norm**p + p + 1).bit_length()
+
+
 def _cmd_zeta(args) -> int:
     curve, _model = elliptic.parse_curve_spec(args.curve)
     m = exact_linalg.parse_matrix(args.matrix)
@@ -211,10 +226,16 @@ def _cmd_zeta(args) -> int:
             )
             continue
         try:
+            if _zeta_row_bits(m, p, args.order) > _PRINTABLE_BITS:
+                raise exact_linalg.BudgetExceeded(
+                    f"the row at p = {p} may print integers over "
+                    f"{PRINTABLE_DIGITS} digits"
+                )
             payload.append(
                 zeta.compare_local(curve, a, p, args.order, alpha=args.alpha)
             )
         except (
+            exact_linalg.BudgetExceeded,
             zeta.BadReduction,
             zeta.UnsupportedCharacteristic,
             zeta.AlphaRequired,

@@ -1,6 +1,6 @@
 """Exact integer matrix arithmetic: Smith normal form, fraction-free
 determinants, polynomial evaluation at a matrix, and a seeded GL_n(Z)
-generator of (B, B^-1) pairs.
+generator of (B, B^-1) pairs for tests (the invariance probe forms no B).
 
 One reduction, _smith, gives the Smith form two ways; it reduces the leading
 n x n block of a list of rows, and whatever the rows carry beyond that block
@@ -298,10 +298,11 @@ def _smith(a, n) -> list:
                 a[t] = [-x for x in a[t]]
             pivot_row = a[t]
             lead = pivot_row[t]
-            for r in range(t + 1, n):
-                if a[r][t] != 0:
-                    k = -(a[r][t] // lead)
-                    a[r] = [x + k * y for x, y in zip(a[r], pivot_row)]
+            tail = pivot_row[t:]  # pivot_row[:t] is zero
+            for row in a[t + 1:n]:
+                if row[t] != 0:
+                    k = -(row[t] // lead)
+                    row[t:] = [x + k * y for x, y in zip(row[t:], tail)]
             below = a[t:]
             for c in range(t + 1, n):
                 if pivot_row[c] != 0:
@@ -424,13 +425,15 @@ def trace_power(m: IntMatrix, k: int) -> int:
 
 
 def mat_poly_eval(p: IntPolynomial, m: IntMatrix) -> IntMatrix:
-    """Horner evaluation p(m); the constant term contributes p(0) * I."""
-    n = m.n
-    if not p.coeffs:
-        return IntMatrix.zero(n)
-    acc = IntMatrix.diagonal([p.coeffs[-1]] * n)
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc @ m + IntMatrix.diagonal([c] * n)
+    """Horner evaluation p(m) from p_d * m + p_(d-1) * I, so degree d takes
+    d - 1 matrix products; the constant term contributes p(0) * I."""
+    c = p.coeffs
+    if len(c) < 2:
+        return IntMatrix.diagonal([p.constant_term] * m.n)
+    acc = IntMatrix([[c[-1] * x + c[-2] * (i == j) for j, x in enumerate(row)]
+                     for i, row in enumerate(m.rows)])
+    for coeff in reversed(c[:-2]):
+        acc = acc @ m + IntMatrix.diagonal([coeff] * m.n)
     return acc
 
 

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afcurves import af_invariant
 from afcurves.af_invariant import (
     AbelianGroup,
     BadConstantTerm,
@@ -19,6 +22,7 @@ from afcurves.exact_linalg import (
     IntPolynomial,
     determinant,
     mat_poly_eval,
+    mat_pow,
     random_glnz,
     smith_diagonal,
 )
@@ -294,3 +298,90 @@ class TestInvarianceProbe:
             invariance_probe(
                 validate_incidence(A_STD), IntPolynomial([0, 1]), trials=1, seed=0
             )
+
+
+def _replayed_b(n, rng):
+    """(B, B^-1) from the draws one _conjugate call takes from rng, each row
+    step on B mirrored by its inverse column step on B^-1, as random_glnz
+    builds them."""
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in b]
+    for _ in range(20):
+        op = rng.randrange(3) if n > 1 else 1
+        i = rng.randrange(n)
+        if op == 1:
+            b[i] = [-x for x in b[i]]
+            for row in inv:
+                row[i] = -row[i]
+            continue
+        j = rng.randrange(n - 1)
+        j += j >= i
+        if op == 0:
+            b[i], b[j] = b[j], b[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
+        else:
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            b[i] = [x + k * y for x, y in zip(b[i], b[j])]
+            for row in inv:
+                row[j] -= k * row[i]
+    return IntMatrix(b), IntMatrix(inv)
+
+
+class TestConjugate:
+    """The probe's in-place moves against B A B^-1 with B rebuilt from the
+    same draws; a wrong move would otherwise show only as probe failures."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_is_b_a_b_inverse(self, n):
+        m = IntMatrix([[(3 * i + 5 * j) % 7 - 2 for j in range(n)] for i in range(n)])
+        moved, replay = random.Random(n), random.Random(n)
+        for _ in range(25):  # one stream across calls, as the probe draws it
+            b, b_inv = _replayed_b(n, replay)
+            assert b @ b_inv == IntMatrix.identity(n)
+            assert af_invariant._conjugate(m, moved) == (b @ m) @ b_inv
+
+    def test_probe_conjugates_from_its_seed(self, monkeypatch):
+        seen = []
+
+        def recording(m, p):
+            seen.append(m)
+            return quotient_group(m, p)
+
+        monkeypatch.setattr(af_invariant, "quotient_group", recording)
+        invariance_probe(validate_incidence(A_STD), X_MINUS_1, trials=5, seed=9)
+        replay = random.Random(9)
+        expected = [A_STD]
+        for _ in range(5):
+            b, b_inv = _replayed_b(2, replay)
+            expected.append((b @ A_STD) @ b_inv)
+        assert seen == expected
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ).map(IntMatrix)
+        ),
+        st.integers(0, 2**32),
+    )
+    @settings(deadline=None)
+    def test_keeps_similarity_invariants(self, m, seed):
+        c = af_invariant._conjugate(m, random.Random(seed))
+        assert determinant(c) == determinant(m)
+        for k in range(1, m.n + 1):
+            assert mat_pow(c, k).trace() == mat_pow(m, k).trace()
+        for coeffs in ((-1, 1), (1, 1), (-1, -1, 1)):
+            p = IntPolynomial(coeffs)
+            assert quotient_group(c, p) == quotient_group(m, p)
+
+    @pytest.mark.parametrize(
+        "m", [A_STD, IntMatrix([[2, 1, 0], [1, 1, 1], [0, 1, 3]])]
+    )
+    def test_control_most_conjugates_move(self, m):
+        rng = random.Random(0)
+        moved = sum(af_invariant._conjugate(m, rng) != m for _ in range(200))
+        assert moved >= 180
+

@@ -261,6 +261,25 @@ class TestZetaCommand:
         assert payload[0]["operator_params"]["alpha"] == -1
         assert payload[0]["operator_counts"] == [2, 0]
 
+    def test_unprintable_row_is_refused_before_the_trace(self, capsys, wall_bound):
+        # tr(A^p) at p = 10007 has ~7,700 digits, past the 4,300 that int-to-str
+        # conversion prints; the row says so instead of computing it
+        with wall_bound(2):
+            code, payload, _ = run_json(
+                capsys, "zeta", "lambda=-1", "5,2;2,1", "--primes", "10007"
+            )
+        assert code == 0
+        (row,) = payload
+        assert sorted(row) == ["error", "message", "prime"]
+        assert (row["prime"], row["error"]) == (10007, "BudgetExceeded")
+
+    def test_refused_prime_leaves_the_other_rows_alone(self, capsys):
+        argv = ("zeta", "lambda=-1", "5,2;2,1", "--format", "json", "--primes")
+        _, alone, _ = run_cli(capsys, *argv, "31")
+        _, both, _ = run_cli(capsys, *argv, "31,10007")
+        assert both.startswith(alone.removesuffix("\n]\n") + ",\n")
+        assert json.loads(both)[1]["error"] == "BudgetExceeded"
+
 
 class TestConjectureCommand:
     def test_bundled_corpus(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -142,6 +143,64 @@ class TestSnf:
         assert quotient_group(m, X2_MINUS_X_MINUS_1) == AbelianGroup.from_smith_diagonal(d)
 
 
+def _seeded_matrix(n, seed):
+    rng = random.Random(seed)
+    return IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+
+
+def _sha256(m):
+    return hashlib.sha256(format_matrix(m).encode()).hexdigest()
+
+
+class TestSnfPins:
+    """snf's d, P and Q on seeded matrices, recorded before the row step
+    skipped the cleared prefix; any change to a reduction step moves them."""
+
+    def test_n8_in_full(self):
+        dec = snf(_seeded_matrix(8, 8))
+        assert dec.d == (1, 1, 1, 1, 1, 1, 1, 227384081)
+        assert format_matrix(dec.p_left) == (
+            "0,0,0,-1,0,0,0,0;0,0,0,-6,0,0,-1,0;0,-1,0,5,0,0,2,0;"
+            "0,46,0,-235,-1,1,-95,0;4,-15642,0,79734,362,-389,32288,45;"
+            "-6709,21082737,1,-107428478,-492793,534224,-43514036,-70613;"
+            "230895,-726140982,-41,3700108105,16971935,-18397560,1498730582,2429856;"
+            "6978094582692,-21945388391977066,-1239099495,111824441078753619,"
+            "512924782612511,-556009934259147,45294544079215509,73434959571759"
+        )
+        assert format_matrix(dec.q_right) == (
+            "0,0,0,0,56,171,29813528182,-224311276916;"
+            "1,-1,81,1793,1759,5352,932516269950,-7016073843407;"
+            "0,0,0,133,243,741,129144820846,-971660901528;"
+            "0,0,-8,-232,-158,-480,-83609285973,629060256946;"
+            "0,0,1,-18,16,49,8549651809,-64325943000;"
+            "0,0,0,-2,-51,-156,-27196237173,204619280561;"
+            "0,0,0,87,181,552,96209806232,-723864158445;"
+            "0,1,-107,-2426,-2337,-7110,-1238811059615,9320577187092"
+        )
+
+    @pytest.mark.parametrize(
+        "n,last,p_sha,q_sha",
+        [
+            (
+                16,
+                (3, 105169905753343968),
+                "b299498ca494d26633a11cf22e839a470846fe2558318bd2edec183f861e4141",
+                "5883d6d54f6c7a3b6f91a6d0a4a4043b0400386be3ae147093139dc3e9c5d709",
+            ),
+            (
+                24,
+                (1, 11625532016889206226710784579),
+                "610239252e144c533a37c1c8c02dded67bae0910f4a944a9d77273fd7bf6c9b8",
+                "f90df00d67d7e297a8a8195bfb527743caddc517111305006862a26b478a16d8",
+            ),
+        ],
+    )
+    def test_hashed(self, n, last, p_sha, q_sha):
+        dec = snf(_seeded_matrix(n, n))
+        assert dec.d == (1,) * (n - 2) + last
+        assert (_sha256(dec.p_left), _sha256(dec.q_right)) == (p_sha, q_sha)
+
+
 class TestDeterminant:
     @pytest.mark.parametrize(
         "rows,expected",
@@ -194,6 +253,23 @@ class TestPolynomialEvaluation:
         # polynomials in the same matrix commute, so evaluation is a ring map
         p, q = IntPolynomial(cp), IntPolynomial(cq)
         assert mat_poly_eval(p * q, m) == mat_poly_eval(p, m) @ mat_poly_eval(q, m)
+
+    @given(
+        square_matrices(max_n=4, max_entry=6),
+        st.lists(st.integers(-7, 7), max_size=5),
+    )
+    @example(A_STD, [])  # the zero polynomial
+    @example(A_STD, [-3])  # a constant
+    @example(A_STD, [0, 0, 5])  # p(0) = 0, leading coefficient 5
+    @example(IntMatrix([[0, 1], [0, 0]]), [1, -4])
+    def test_matches_sum_of_powers(self, m, coeffs):
+        # oracle: p(m) = sum_k c_k m^k, with no Horner step shared
+        terms = (
+            IntMatrix([[c * x for x in row] for row in mat_pow(m, k).rows])
+            for k, c in enumerate(coeffs)
+        )
+        expected = sum(terms, IntMatrix.zero(m.n))
+        assert mat_poly_eval(IntPolynomial(coeffs), m) == expected
 
 
 class TestMatPow:
