@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 
 from .exact_linalg import (
     IntMatrix,
     IntPolynomial,
+    Record,
     determinant,
     is_unimodular,
     mat_poly_eval,
@@ -44,8 +44,7 @@ class BadConstantTerm(ValueError):
 BOWEN_FRANKS_POLY = IntPolynomial([-1, 1])  # x - 1
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Normal form of a finitely generated abelian group.
 
     torsion is the divisibility chain of elementary divisors (each >= 2,
@@ -102,8 +101,7 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "trivial"
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(Record):
     """Validated incidence matrix: nonnegative, unimodular, primitive.
 
     positivity_power is the least k >= 1 with every entry of m^k >= 1.
@@ -165,8 +163,7 @@ def bowen_franks(a: IncidenceMatrix) -> AbelianGroup:
     return abelianize(a, BOWEN_FRANKS_POLY)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Record):
     """Outcome of a similarity-invariance probe.
 
     failures counts trials where the conjugated invariant differed from the

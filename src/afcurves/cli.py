@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import af_invariant, contfrac, corpus, elliptic, exact_linalg, zeta
@@ -28,7 +27,7 @@ _PRINTABLE_BITS = (10**PRINTABLE_DIGITS).bit_length() - 1  # such ints always pr
 
 def encode(value, text: bool = False):
     """JSON-ready form of a payload: domain leaves become strings or small
-    dicts, dataclasses become dicts of their fields, tuples become lists.
+    dicts, Records become dicts of their fields, tuples become lists.
 
     Rationals are `p/q` in lowest terms with positive denominator.  With
     text=True, polynomials, groups and curves take their readable forms
@@ -46,8 +45,8 @@ def encode(value, text: bool = False):
         return str(value)
     if isinstance(value, elliptic.Point):
         return [str(value.x), str(value.y)]
-    if is_dataclass(value):  # AbelianGroup's JSON form is its two fields
-        return {f.name: encode(getattr(value, f.name), text) for f in fields(value)}
+    if isinstance(value, exact_linalg.Record):  # e.g. AbelianGroup's two fields
+        return {f: encode(getattr(value, f), text) for f in value._fields}
     if isinstance(value, dict):
         return {key: encode(item, text) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

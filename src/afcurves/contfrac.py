@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .af_invariant import IncidenceMatrix, validate_incidence
-from .exact_linalg import IntMatrix, to_fraction
+from .exact_linalg import BudgetExceeded, IntMatrix, Record, to_fraction
+
+# States expand visits before BudgetExceeded: ~0.45 s on CPython 3.11, 2 vCPUs.
+_STATE_CAP = 1 << 18
 
 
 class NotIrrational(ValueError):
@@ -30,8 +32,7 @@ class SurdParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadraticIrrational:
+class QuadraticIrrational(Record):
     """Exact surd (p_num + sqrt(d_rad)) / q_den, canonicalized.
 
     Canonical means q_den divides d_rad - p_num**2, which the constructor
@@ -93,8 +94,7 @@ def _floor_surd(p: int, d: int, q: int) -> int:
     return (-p - s - 1) // (-q)
 
 
-@dataclass(frozen=True)
-class PeriodicCF:
+class PeriodicCF(Record):
     """Eventually periodic partial quotients: preperiod then repeating period.
 
     The period is the minimal repeating block; every quotient after the
@@ -132,13 +132,16 @@ def expand(theta: QuadraticIrrational) -> PeriodicCF:
     States (P_i, Q_i) follow P_{i+1} = a_i Q_i - P_i and
     Q_{i+1} = (D - P_{i+1}^2) / Q_i (exact division by the canonical
     invariant); the expansion is eventually periodic, and the first repeated
-    state closes the cycle, which is then the minimal period.
+    state closes the cycle, which is then the minimal period.  Past
+    _STATE_CAP states without a repeat it raises BudgetExceeded.
     """
     d = theta.d_rad
     p, q = theta.p_num, theta.q_den
     seen: dict = {}
     quotients: list = []
     while (p, q) not in seen:
+        if len(quotients) == _STATE_CAP:
+            raise BudgetExceeded(f"{theta} repeats no state in its first {_STATE_CAP}")
         seen[(p, q)] = len(quotients)
         a = _floor_surd(p, d, q)
         quotients.append(a)

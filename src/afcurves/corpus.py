@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .af_invariant import (
@@ -30,6 +29,7 @@ from .contfrac import QuadraticIrrational, expand, incidence_from_period, parse_
 from .elliptic import CurveQ, legendre_model, torsion_subgroup
 from .exact_linalg import (
     IntPolynomial,
+    Record,
     parse_int_list,
     parse_matrix,
     parse_poly,
@@ -41,8 +41,7 @@ class CorpusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     """One corpus row: a curve spec, an incidence spec, polynomials, and
     optionally the expected torsion group."""
 
@@ -73,23 +72,20 @@ class CorpusEntry:
                 )
 
 
-@dataclass(frozen=True)
-class InvalidEntry:
+class InvalidEntry(Record):
     """Placeholder for a corpus record that failed validation at load time."""
 
     label: str
     error: str
 
 
-@dataclass(frozen=True)
-class PolynomialVerdict:
+class PolynomialVerdict(Record):
     polynomial: IntPolynomial
     group: AbelianGroup
     verdict: str  # "match" | "mismatch" | "not_computed"
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(Record):
     entry: CorpusEntry
     j_invariant: Fraction | None = None
     curve: CurveQ | None = None

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
 
 from .af_invariant import AbelianGroup
-from .exact_linalg import BudgetExceeded, to_fraction
+from .exact_linalg import BudgetExceeded, Record, to_fraction
 
 # Steps a curve search may take before it raises BudgetExceeded instead.
 _STEP_CAP = 1 << 22
@@ -117,8 +116,7 @@ def rational_lambdas_from_j(j) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class CurveQ:
+class CurveQ(Record):
     """Integral short Weierstrass curve y^2 = x^3 + a x + b, nonsingular.
 
     a and b must be integers; a float or Fraction raises TypeError.
@@ -126,11 +124,11 @@ class CurveQ:
 
     a: int
     b: int
-    disc: int = field(init=False)
+    disc: int  # set from a and b, not an argument
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", operator.index(self.a))
-        object.__setattr__(self, "b", operator.index(self.b))
+    def __init__(self, a, b):
+        object.__setattr__(self, "a", operator.index(a))
+        object.__setattr__(self, "b", operator.index(b))
         disc = -16 * (4 * self.a**3 + 27 * self.b**2)
         if disc == 0:
             raise SingularCurve(f"discriminant vanishes for a={self.a}, b={self.b}")
@@ -152,8 +150,7 @@ class CurveQ:
         return f"y^2 = x^3 + {self.a}*x + {self.b}"
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """Affine rational point or the point at infinity (both coords None)."""
 
     x: Fraction | None
@@ -218,8 +215,7 @@ def mul_point(e: CurveQ, k: int, p: Point) -> Point:
     return acc
 
 
-@dataclass(frozen=True)
-class LegendreModel:
+class LegendreModel(Record):
     """Integral Weierstrass model of a Legendre curve with the point maps.
 
     The substitution is x_w = u^2 (x_leg - shift), y_w = u^3 y_leg with

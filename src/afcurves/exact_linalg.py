@@ -18,6 +18,9 @@ so the integers det P, det Q are +-1); only a singular M has them taken.
 trace_power gives tr(M^k) from x^k modulo the characteristic polynomial
 (Cayley-Hamilton), in O(n^2 log k) big-integer products; M^k is not formed.
 
+Record, the frozen base of the package's value types, reads its fields from
+the class annotations and generates no code; the package needs no dataclasses.
+
 Everything runs on Python's arbitrary-precision integers; there is no
 floating point and no entry-size limit anywhere in this module.
 """
@@ -27,7 +30,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
@@ -38,6 +40,58 @@ class MatrixParseError(ValueError):
 
 class BudgetExceeded(ValueError):
     """The input is past the size this library decides exactly."""
+
+
+class Record:
+    """Frozen record whose fields, _fields, are the subclass's annotations.
+
+    The generic __init__ takes them by position or keyword, a class attribute
+    of the same name being the default, then calls __post_init__ (which sets
+    through object.__setattr__).  ==, hash and repr go by the field values.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__annotations__)  # after any inherited fields
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments")
+        values = dict(zip(names, args))
+        for name in names[len(args):]:
+            if name not in kwargs and not hasattr(cls, name):  # no default
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            values[name] = kwargs.pop(name) if name in kwargs else getattr(cls, name)
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected or repeated {[*kwargs]}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 def to_fraction(value) -> Fraction:
@@ -137,8 +191,7 @@ class IntMatrix:
         return IntMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Integer polynomial, coefficients stored constant-first.
 
     coeffs[k] is the coefficient of x^k; trailing zeros are stripped so the
@@ -191,8 +244,7 @@ class IntPolynomial:
         return " ".join(terms)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """Certificate D = P * M * Q with P, Q unimodular and D = diag(d).
 
     The nonzero diagonal entries come first, each is positive, and each

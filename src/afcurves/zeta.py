@@ -23,12 +23,11 @@ under some normalization is the open question the report is for.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .af_invariant import IncidenceMatrix
-from .exact_linalg import BudgetExceeded, IntMatrix, trace_power
+from .exact_linalg import BudgetExceeded, IntMatrix, Record, trace_power
 
 ENUMERATION_MAX = 1_000_000
 # Mestre's theorem (Schoof 1995, Thm 3.2): above 229, E or its twist has
@@ -345,8 +344,7 @@ def count_points(e, p: int, n: int = 1) -> int:
     return _curve_counts(trace_frobenius(e, p), p, n)[-1]
 
 
-@dataclass(frozen=True)
-class ZetaSeries:
+class ZetaSeries(Record):
     """Curve-side local zeta to order N, by two routes that must agree.
 
     exp_coefficients come from exp(sum #E(F_{p^n}) z^n / n) with exact
@@ -442,21 +440,18 @@ def _operator_counts(tr_ap: int | None, p: int, order: int, alpha) -> list:
     return [abs(c) for c in _curve_counts(tr_ap, p, order)]
 
 
-@dataclass(frozen=True)
-class OperatorParams:
+class OperatorParams(Record):
     trace_power: int
     branch: str  # "good" (p does not divide tr(A)^2 - 4) or "bad"
     alpha: int | None
 
 
-@dataclass(frozen=True)
-class CurveFactor:
+class CurveFactor(Record):
     numerator: tuple  # 1 - a_p z + p z^2
     denominator: tuple  # (1 - z)(1 - p z)
 
 
-@dataclass(frozen=True)
-class LocalZetaReport:
+class LocalZetaReport(Record):
     """Per-prime comparison of the curve and operator cardinality sequences.
 
     match_flags records per-n equality of curve_counts and operator_counts;

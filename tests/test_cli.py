@@ -131,6 +131,13 @@ class TestCfCommand:
         assert code == 1
         assert "NotIrrational" in err
 
+    def test_over_the_state_cap_is_one_error_line(self, capsys, wall_bound):
+        with wall_bound(2):
+            code, out, err = run_cli(capsys, "cf", "sqrt(1000000000039)")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: BudgetExceeded: ")
+
 
 class TestTorsionCommand:
     def test_lambda_spec(self, capsys):

@@ -19,9 +19,10 @@ from afcurves.contfrac import (
     expand,
     gl2z_equivalent,
     incidence_from_period,
+    _STATE_CAP,
     parse_surd,
 )
-from afcurves.exact_linalg import IntMatrix, IntPolynomial
+from afcurves.exact_linalg import BudgetExceeded, IntMatrix, IntPolynomial
 
 SQRT2 = QuadraticIrrational(0, 2, 1)
 GOLDEN = QuadraticIrrational(1, 5, 2)
@@ -136,6 +137,18 @@ class TestExpand:
             value = a + 1 / value
         target = (sp.Integer(theta.p_num) + sp.sqrt(theta.d_rad)) / theta.q_den
         assert sp.simplify(value - target) == 0
+
+    def test_long_period_under_the_state_cap(self):
+        # sqrt(10^10 + 19) has a period of 124,134 terms, under the cap
+        cf = expand(QuadraticIrrational(0, 10**10 + 19, 1))
+        assert len(cf.period) == 124_134 < _STATE_CAP
+        assert cf.preperiod == (100_000,)
+
+    def test_over_the_state_cap_refuses_fast(self, wall_bound):
+        # sqrt(10^12 + 39) has a period of 532,572 terms
+        with wall_bound(2):
+            with pytest.raises(BudgetExceeded, match=f"first {_STATE_CAP}"):
+                expand(QuadraticIrrational(0, 10**12 + 39, 1))
 
 
 class TestIncidenceFromPeriod:
