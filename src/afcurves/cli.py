@@ -217,14 +217,15 @@ def _cmd_zeta(args) -> int:
     m = exact_linalg.parse_matrix(args.matrix)
     a = af_invariant.validate_incidence(m)
     primes = sorted(set(exact_linalg.parse_int_list(args.primes, "prime")))
+    if args.order < 0:
+        raise ValueError("order must be >= 0")
     payload = []
     for p in primes:
-        if not zeta.is_prime(p):
-            payload.append(
-                {"prime": p, "error": "ValueError", "message": f"{p} is not prime"}
-            )
-            continue
+        # With --order checked above and --alpha held to {-1, 0, 1} by the
+        # parser, every ValueError here concerns p alone and becomes its row.
         try:
+            if not zeta.is_prime(p):
+                raise ValueError(f"{p} is not prime")
             if _zeta_row_bits(m, p, args.order) > _PRINTABLE_BITS:
                 raise exact_linalg.BudgetExceeded(
                     f"the row at p = {p} may print integers over "
@@ -233,12 +234,7 @@ def _cmd_zeta(args) -> int:
             payload.append(
                 zeta.compare_local(curve, a, p, args.order, alpha=args.alpha)
             )
-        except (
-            exact_linalg.BudgetExceeded,
-            zeta.BadReduction,
-            zeta.UnsupportedCharacteristic,
-            zeta.AlphaRequired,
-        ) as exc:
+        except ValueError as exc:
             payload.append(
                 {"prime": p, "error": type(exc).__name__, "message": str(exc)}
             )

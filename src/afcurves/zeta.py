@@ -14,6 +14,8 @@ incidence matrix A and the cardinality sequence |det(I - L_p^n)|, with the
 degenerate branch |1 - alpha^n| when p divides tr(A)^2 - 4.  tr(A^p) is
 x^p reduced modulo the characteristic polynomial of A (Cayley-Hamilton,
 exact_linalg.trace_power), O(n^2 log p) big-integer products; no A^p.
+One routine, _operator_side, takes tr(A^p) and decides the branch once;
+operator_local_zeta_counts and compare_local both read it.
 
 compare_local assembles both sequences side by side and records per-n
 equality flags without asserting them: whether the two local zetas agree
@@ -421,23 +423,7 @@ def operator_local_zeta_counts(
     cardinality is a normalization choice; it is isolated here so the
     comparison reports state exactly what was computed.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    bad = is_bad_prime(a, p)
-    return _operator_counts(None if bad else lp_matrix(a, p)[0, 0], p, order, alpha)
-
-
-def _operator_counts(tr_ap: int | None, p: int, order: int, alpha) -> list:
-    """operator_local_zeta_counts from tr(A^p), or None on the bad branch."""
-    if tr_ap is None:
-        if alpha is None:
-            raise AlphaRequired(
-                f"p = {p} divides tr(A)^2 - 4; choose alpha in {{-1, 0, 1}}"
-            )
-        if alpha not in (-1, 0, 1):
-            raise ValueError("alpha must be -1, 0, or 1")
-        return [abs(1 - alpha**n) for n in range(1, order + 1)]
-    return [abs(c) for c in _curve_counts(tr_ap, p, order)]
+    return list(_operator_side(a, p, order, alpha)[0])
 
 
 class OperatorParams(Record):
@@ -467,37 +453,37 @@ class LocalZetaReport(Record):
     match_flags: tuple
 
 
-def compare_local(
-    e,
-    a: IncidenceMatrix,
-    p: int,
-    order: int,
-    alpha: int | None = None,
-) -> LocalZetaReport:
-    """Assemble both local sequences at p with per-n equality flags."""
-    a_p = trace_frobenius(e, p)
+def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
+    """Operator counts for n = 1..order and the OperatorParams that made them."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    tr_ap = trace_power(a.m, p)
+    if not is_bad_prime(a, p):
+        counts = tuple(abs(c) for c in _curve_counts(tr_ap, p, order))
+        return counts, OperatorParams(trace_power=tr_ap, branch="good", alpha=None)
+    if alpha is None:
+        raise AlphaRequired(
+            f"p = {p} divides tr(A)^2 - 4; choose alpha in {{-1, 0, 1}}"
+        )
+    if alpha not in (-1, 0, 1):
+        raise ValueError("alpha must be -1, 0, or 1")
+    counts = tuple(abs(1 - alpha**n) for n in range(1, order + 1))
+    return counts, OperatorParams(trace_power=tr_ap, branch="bad", alpha=alpha)
+
+
+def compare_local(
+    e, a: IncidenceMatrix, p: int, order: int, alpha: int | None = None
+) -> LocalZetaReport:
+    """Assemble both local sequences at p with per-n equality flags."""
+    a_p = trace_frobenius(e, p)  # first: a bad p outranks a bad order
     curve_counts = tuple(_curve_counts(a_p, p, order))
-    tr_ap = lp_matrix(a, p)[0, 0]
-    bad = is_bad_prime(a, p)
-    operator_counts = tuple(
-        _operator_counts(None if bad else tr_ap, p, order, alpha)
-    )
+    operator_counts, operator_params = _operator_side(a, p, order, alpha)
     return LocalZetaReport(
         prime=p,
         curve_counts=curve_counts,
         a_p=a_p,
-        curve_factor=CurveFactor(
-            numerator=(1, -a_p, p), denominator=(1, -(1 + p), p)
-        ),
+        curve_factor=CurveFactor(numerator=(1, -a_p, p), denominator=(1, -(1 + p), p)),
         operator_counts=operator_counts,
-        operator_params=OperatorParams(
-            trace_power=tr_ap,
-            branch="bad" if bad else "good",
-            alpha=alpha if bad else None,
-        ),
-        match_flags=tuple(
-            c == o for c, o in zip(curve_counts, operator_counts)
-        ),
+        operator_params=operator_params,
+        match_flags=tuple(c == o for c, o in zip(curve_counts, operator_counts)),
     )

@@ -18,6 +18,7 @@ from afcurves.af_invariant import (
     validate_incidence,
 )
 from afcurves.exact_linalg import (
+    BudgetExceeded,
     IntMatrix,
     IntPolynomial,
     determinant,
@@ -298,6 +299,24 @@ class TestInvarianceProbe:
             invariance_probe(
                 validate_incidence(A_STD), IntPolynomial([0, 1]), trials=1, seed=0
             )
+
+    def test_trial_cap(self, monkeypatch):
+        """The cap itself runs; one trial more raises before any quotient."""
+        calls = []
+
+        def counting(m, p):
+            calls.append(m)
+            return AbelianGroup((2, 2))
+
+        monkeypatch.setattr(af_invariant, "quotient_group", counting)
+        a = validate_incidence(A_STD)
+        cap = af_invariant._TRIAL_CAP
+        assert invariance_probe(a, X_MINUS_1, trials=cap).trials == cap
+        assert len(calls) == cap + 1  # the base group, then one per trial
+        calls.clear()
+        with pytest.raises(BudgetExceeded, match=f"{cap + 1} trials"):
+            invariance_probe(a, X_MINUS_1, trials=cap + 1)
+        assert calls == []
 
 
 def _replayed_b(n, rng):

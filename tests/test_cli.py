@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from afcurves import exact_linalg, zeta
 from afcurves.cli import main
 
 BUNDLED = str(Path(__file__).resolve().parent.parent / "data" / "cm_corpus.json")
@@ -112,6 +113,14 @@ class TestProbeCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert "afcurves: error: unrecognized arguments: --seed 4,2;2,0" in err
+
+    def test_trials_over_the_cap_is_one_error_line(self, capsys, wall_bound):
+        with wall_bound(2):
+            code, out, err = run_cli(
+                capsys, "probe", "5,2;2,1", "--poly", "-1,1", "--trials", "4097"
+            )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: BudgetExceeded: ")
 
 
 class TestCfCommand:
@@ -286,6 +295,27 @@ class TestZetaCommand:
         _, both, _ = run_cli(capsys, *argv, "31,10007")
         assert both.startswith(alone.removesuffix("\n]\n") + ",\n")
         assert json.loads(both)[1]["error"] == "BudgetExceeded"
+
+    @pytest.mark.parametrize("primes", ["2", "4", "3,5"])
+    def test_negative_order_fails_the_command(self, capsys, primes):
+        # whatever the primes: a row-level refusal must not mask a bad --order
+        argv = ("zeta", "lambda=-1", "5,2;2,1", "--primes", primes, "--order", "-1")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: ValueError: order must be >= 0\n"
+
+    def test_prime_past_the_miller_rabin_bound_is_a_row(self, capsys):
+        argv = ("zeta", "lambda=-1", "5,2;2,1", "--format", "json", "--primes")
+        _, alone, _ = run_cli(capsys, *argv, "3")
+        big = zeta.MILLER_RABIN_BOUND
+        code, both, _ = run_cli(capsys, *argv, f"3,{big}")
+        assert code == 0
+        assert both.startswith(alone.removesuffix("\n]\n") + ",\n")
+        with pytest.raises(exact_linalg.BudgetExceeded) as exc:
+            zeta.is_prime(big)
+        assert json.loads(both)[1] == {
+            "prime": big, "error": "BudgetExceeded", "message": str(exc.value)
+        }
 
 
 class TestConjectureCommand:

@@ -319,6 +319,27 @@ class TestOperatorCounts:
             operator_local_zeta_counts(A_STD, 2, 3, alpha=2)
 
 
+def test_compare_local_operator_half_matches_the_counts_routine():
+    """compare_local's operator half against operator_local_zeta_counts and
+    the paper's L_p, on both branches (A_3X3 is bad at p = 3)."""
+    bad_cases = 0
+    for a in (A_STD, A_3X3):
+        for p in [q for q in SMALL_PRIMES if 2 < q < 60 and E_CM.disc % q]:
+            bad = is_bad_prime(a, p)
+            bad_cases += bad
+            for alpha in (-1, 0, 1) if bad else (None,):
+                report = compare_local(E_CM, a, p, 4, alpha=alpha)
+                assert report.operator_counts == tuple(
+                    operator_local_zeta_counts(a, p, 4, alpha=alpha)
+                )
+                params = report.operator_params
+                assert params.trace_power == lp_matrix(a, p)[0, 0]
+                assert (params.branch, params.alpha) == (
+                    ("bad", alpha) if bad else ("good", None)
+                )
+    assert bad_cases == 1
+
+
 class TestErrorPrecedence:
     """Each entry point checks p once, through count_points at n = 1; these
     pin which error wins when an argument breaks two rules."""
