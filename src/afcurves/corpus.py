@@ -172,9 +172,8 @@ def _entry_from_mapping(record: dict) -> CorpusEntry:
         raise CorpusError(f"entry must be an object, got {type(record).__name__}")
     label = str(record.get("label", ""))
     lam = record.get("lambda")
-    ab = None
-    if "a" in record and "b" in record:
-        ab = (_int_cell(record["a"]), _int_cell(record["b"]))
+    a, b = record.get("a", ""), record.get("b", "")  # a blank cell is absent
+    ab = (_int_cell(a), _int_cell(b)) if a != "" and b != "" else None
     theta = record.get("theta")
     matrix = record.get("matrix")
     polys = record.get("polynomials")

@@ -1,14 +1,17 @@
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
+from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.continued_fraction import continued_fraction_periodic
 
+from afcurves import contfrac
 from afcurves.af_invariant import AbelianGroup, quotient_group
 from afcurves.contfrac import (
     NotIrrational,
@@ -35,6 +38,32 @@ def surds():
         st.integers(2, 300).filter(lambda d: isqrt(d) ** 2 != d),
         st.integers(-20, 20).filter(bool),
     ).map(lambda t: QuadraticIrrational(*t))
+
+
+def first_repeat_expand(theta: QuadraticIrrational, cap: int) -> PeriodicCF:
+    """The reference expansion: record every visited (P, Q) state until one
+    repeats; the first repeated state starts the period.  Past `cap` states
+    it refuses with the message expand gives."""
+    d, p, q = theta.d_rad, theta.p_num, theta.q_den
+    seen, quotients = {}, []
+    while (p, q) not in seen:
+        if len(quotients) == cap:
+            raise BudgetExceeded(f"{theta} repeats no state in its first {cap}")
+        seen[(p, q)] = len(quotients)
+        s = isqrt(d)
+        a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
+        quotients.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+    start = seen[(p, q)]
+    return PeriodicCF(tuple(quotients[:start]), tuple(quotients[start:]))
+
+
+def outcome(expansion, theta):
+    try:
+        return expansion(theta)
+    except BudgetExceeded as exc:
+        return str(exc)
 
 
 class TestQuadraticIrrational:
@@ -139,10 +168,40 @@ class TestExpand:
         assert sp.simplify(value - target) == 0
 
     def test_long_period_under_the_state_cap(self):
-        # sqrt(10^10 + 19) has a period of 124,134 terms, under the cap
-        cf = expand(QuadraticIrrational(0, 10**10 + 19, 1))
+        # sqrt(10^10 + 19) has a period of 124,134 terms, under the cap; the
+        # expansion keeps one state, where a table of all 124,135 peaked at
+        # 26.7 MB
+        tracemalloc.start()
+        try:
+            cf = expand(QuadraticIrrational(0, 10**10 + 19, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert len(cf.period) == 124_134 < _STATE_CAP
         assert cf.preperiod == (100_000,)
+        assert peak < 8 * 2**20
+
+    @given(
+        st.integers(-10**4, 10**4),
+        st.integers(2, 10**4).filter(lambda d: isqrt(d) ** 2 != d),
+        st.integers(-300, 300).filter(bool),
+        st.integers(1, 60),
+    )
+    @settings(max_examples=400, deadline=None)
+    @example(0, 2, 1, 60)  # sqrt(2): preperiod (1,)
+    @example(1, 5, 2, 60)  # golden ratio: purely periodic
+    @example(-3, 13, -7, 60)  # (3 - sqrt(13))/7: non-canonical, preperiod -1, 1, 10
+    @example(17, 3, -11, 60)  # negative denominator, preperiod -2, 3
+    @example(-12, 2, 27, 60)  # preperiod -1, 1, 1, 1, 1, 4
+    @example(0, 94, 1, 17)  # preperiod 1 + period 16 fill the cap exactly
+    @example(0, 94, 1, 16)  # one state over the cap: refused
+    def test_matches_first_repeat_reference(self, p, d, q, cap):
+        # the first reduced state is the first state that recurs, so both
+        # give the same expansion, or the same refusal, under every cap
+        theta = QuadraticIrrational(p, d, q)
+        with mock.patch.object(contfrac, "_STATE_CAP", cap):
+            got = outcome(expand, theta)
+        assert got == outcome(lambda t: first_repeat_expand(t, cap), theta)
 
     def test_over_the_state_cap_refuses_fast(self, wall_bound):
         # sqrt(10^12 + 39) has a period of 532,572 terms

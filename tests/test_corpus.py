@@ -143,6 +143,34 @@ class TestLoadCorpus:
         )
         assert load_corpus(str(csv_path)) == load_corpus(str(json_path))
 
+    def test_csv_with_both_curve_columns_matches_json(self, tmp_path):
+        # a lambda row leaves the a, b cells blank and an (a, b) row leaves
+        # lambda blank; each blank cell reads as an absent key
+        csv_path = tmp_path / "corpus.csv"
+        csv_path.write_text(
+            "label,lambda,a,b,theta,matrix,poly,expected\n"
+            'leg,-1,,,(1+sqrt(2))/1,,"-1,1","2,2"\n'
+            'direct,,-1,0,,"5,2;2,1","-1,1",\n'
+        )
+        json_path = tmp_path / "corpus.json"
+        json_path.write_text(
+            json.dumps(
+                [
+                    {
+                        "label": "leg",
+                        "lambda": "-1",
+                        "theta": "(1+sqrt(2))/1",
+                        "polynomials": ["-1,1"],
+                        "expected_torsion": {"torsion": [2, 2], "free_rank": 0},
+                    },
+                    {"label": "direct", "a": -1, "b": 0, "matrix": "5,2;2,1", "poly": "-1,1"},
+                ]
+            )
+        )
+        entries = load_corpus(str(csv_path))
+        assert not any(isinstance(entry, InvalidEntry) for entry in entries)
+        assert entries == load_corpus(str(json_path))
+
     def test_expected_trivial_keyword(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text(

@@ -201,6 +201,51 @@ class TestCountPoints:
             count_points_enumerated(E_CM, 3, 13)
         assert count_points(E_CM, 3, 13) == 3**13 + 1
 
+    def test_high_degree_is_fast_and_matches_frobenius_power(self, wall_bound):
+        # p^n + 1 - tr(F^n) with F = [[a_p, -p], [1, 0]], whose characteristic
+        # polynomial is x^2 - a_p x + p; the recurrence keeps two terms, so
+        # n = 20,000 takes well under a second
+        e, p, n = CurveQ(-1, 1), 1009, 20_000
+        a_p = trace_frobenius(e, p)
+        expected = p**n + 1 - mat_pow(IntMatrix([[a_p, -p], [1, 0]]), n).trace()
+        with wall_bound(3):
+            assert count_points(e, p, n) == expected
+
+
+def _frobenius_counts(a_p: int, p: int, order: int) -> list:
+    frobenius = IntMatrix([[a_p, -p], [1, 0]])
+    return [p**n + 1 - mat_pow(frobenius, n).trace() for n in range(1, order + 1)]
+
+
+class TestCurveCounts:
+    @given(
+        st.sampled_from([3, 5, 7, 11, 1009, 10**9 + 7]),
+        st.integers(-200, 200),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=120, deadline=None)
+    @example(3, 0, 0)  # order 0 yields nothing
+    @example(5, 2, 1)
+    @example(1009, -63, 40)
+    def test_matches_frobenius_power(self, p, a_p, order):
+        assert list(zeta._curve_counts(a_p, p, order)) == _frobenius_counts(a_p, p, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7])
+    def test_never_forms_the_next_term(self, order):
+        # each t_{n+1} = a_p t_n - p t_{n-1} multiplies by a_p once, so t_2
+        # .. t_order take order - 1 products and t_{order+1} none
+        products = []
+
+        class CountingInt(int):
+            def __mul__(self, other):
+                products.append(other)
+                return int(self) * other
+
+        assert list(zeta._curve_counts(CountingInt(4), 7, order)) == (
+            _frobenius_counts(4, 7, order)
+        )
+        assert len(products) == max(order - 1, 0)
+
 
 class TestTraceFrobenius:
     @pytest.mark.parametrize("p,expected", [(3, 0), (5, -2), (7, 0)])
