@@ -16,9 +16,7 @@ from .af_invariant import (
 from .contfrac import (
     PeriodicCF,
     QuadraticIrrational,
-    convergent,
     expand,
-    gl2z_equivalent,
     incidence_from_period,
 )
 from .elliptic import (
@@ -55,7 +53,6 @@ from .zeta import (
     count_points,
     count_points_enumerated,
     curve_local_zeta,
-    lp_matrix,
     operator_local_zeta_counts,
     trace_frobenius,
 )

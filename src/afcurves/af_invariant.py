@@ -26,7 +26,8 @@ from .exact_linalg import (
 )
 
 # Conjugates invariance_probe tries before BudgetExceeded: 11-14 s at n = 32
-# (2.8-3.5 ms a trial) on CPython 3.11, 2 shared vCPUs.
+# (2.8-3.5 ms a trial) on CPython 3.11, 2 shared vCPUs.  A trial costs about
+# n^3, so past n = 32 the cap is on trials * n^3 at that same point.
 _TRIAL_CAP = 4096
 
 
@@ -79,10 +80,6 @@ class AbelianGroup(Record):
         torsion = tuple(x for x in d if x > 1)
         free_rank = sum(1 for x in d if x == 0)
         return cls(torsion, free_rank)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.torsion and self.free_rank == 0
 
     def order(self):
         """Group order, or None when the group is infinite."""
@@ -220,12 +217,17 @@ def invariance_probe(
     Each conjugate is a copy of A after 20 random elementary moves, all drawn
     from one seeded stream (_conjugate).  It may have negative entries; the
     quotient group is still defined and must match.  More than _TRIAL_CAP
-    trials raise BudgetExceeded before any work.
+    trials, or trials * n^3 over _TRIAL_CAP * 32^3, raise BudgetExceeded
+    before any work.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > _TRIAL_CAP:
         raise BudgetExceeded(f"{trials} trials is over the cap of {_TRIAL_CAP}")
+    if trials * a.n**3 > _TRIAL_CAP * 32**3:
+        raise BudgetExceeded(
+            f"{trials} trials at n = {a.n} is more work than {_TRIAL_CAP} at n = 32"
+        )
     base = quotient_group(a.m, p)
     rng = random.Random(seed)
     failures = 0

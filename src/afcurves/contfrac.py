@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 from math import isqrt
 
 from .af_invariant import IncidenceMatrix, validate_incidence
-from .exact_linalg import BudgetExceeded, IntMatrix, Record, to_fraction
+from .exact_linalg import BudgetExceeded, IntMatrix, Record
 
 # States expand visits before BudgetExceeded: ~0.2 s on CPython 3.11, 2 vCPUs.
 _STATE_CAP = 1 << 18
@@ -57,33 +56,8 @@ class QuadraticIrrational(Record):
         object.__setattr__(self, "d_rad", d)
         object.__setattr__(self, "q_den", q)
 
-    def compare_to(self, r: Fraction) -> int:
-        """Sign of (self - r), computed exactly: -1, 0 never occurs, or +1."""
-        r = to_fraction(r)
-        # self - r = ((p*rd - rn*q) + rd*sqrt(d)) / (q*rd)
-        u = self.p_num * r.denominator - r.numerator * self.q_den
-        v = r.denominator
-        denom_sign = 1 if self.q_den * r.denominator > 0 else -1
-        return _sign_u_plus_v_sqrt(u, v, self.d_rad) * denom_sign
-
     def __str__(self):
         return f"({self.p_num}+sqrt({self.d_rad}))/{self.q_den}"
-
-
-def _sign_u_plus_v_sqrt(u: int, v: int, d: int) -> int:
-    """Exact sign of u + v*sqrt(d) for non-square d > 0 (never zero)."""
-    if v == 0:
-        return -1 if u < 0 else 1
-    if u == 0:
-        return 1 if v > 0 else -1
-    if u > 0 and v > 0:
-        return 1
-    if u < 0 and v < 0:
-        return -1
-    # opposite signs: compare u^2 against v^2 d
-    if v > 0:  # u < 0
-        return 1 if v * v * d > u * u else -1
-    return 1 if u * u > v * v * d else -1
 
 
 class PeriodicCF(Record):
@@ -107,15 +81,6 @@ class PeriodicCF(Record):
                 raise ValueError("partial quotients after the first must be >= 1")
         if any(a < 1 for a in self.period):
             raise ValueError("period entries must be >= 1")
-
-    def quotients(self, depth: int):
-        """First `depth` partial quotients, unrolling the period as needed."""
-        out = list(self.preperiod[:depth])
-        i = 0
-        while len(out) < depth:
-            out.append(self.period[i % len(self.period)])
-            i += 1
-        return out
 
 
 def expand(theta: QuadraticIrrational) -> PeriodicCF:
@@ -158,33 +123,6 @@ def incidence_from_period(cf: PeriodicCF) -> IncidenceMatrix:
     if not product.is_strictly_positive():
         product = product @ product
     return validate_incidence(product)
-
-
-def convergent(cf: PeriodicCF, depth: int) -> Fraction:
-    """Exact rational convergent from the first `depth` partial quotients."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    h_prev, h = 0, 1
-    k_prev, k = 1, 0
-    for a in cf.quotients(depth):
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-    return Fraction(h, k)
-
-
-def gl2z_equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
-    """Tail equivalence of the expansions: equal periods up to cyclic rotation.
-
-    Two real quadratic irrationals are related by a fractional-linear map
-    with determinant +-1 exactly when their expansions share a tail, i.e.
-    when the minimal periods are rotations of each other.
-    """
-    px = expand(x).period
-    py = expand(y).period
-    if len(px) != len(py):
-        return False
-    doubled = px + px
-    return any(doubled[i : i + len(py)] == py for i in range(len(px)))
 
 
 _SURD_FULL = re.compile(

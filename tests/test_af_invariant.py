@@ -286,7 +286,7 @@ class TestInvarianceProbe:
             seed=3,
         )
         assert report.failures == 0
-        assert report.group.is_trivial
+        assert report.group == AbelianGroup(())
 
     def test_deterministic_for_seed(self):
         a = validate_incidence(A_STD)
@@ -317,6 +317,26 @@ class TestInvarianceProbe:
         with pytest.raises(BudgetExceeded, match=f"{cap + 1} trials"):
             invariance_probe(a, X_MINUS_1, trials=cap + 1)
         assert calls == []
+
+    def test_work_cap(self, monkeypatch):
+        """Past n = 32 the cap is on trials * n^3: at n = 64 it admits 512
+        trials, and 513 raise before any quotient."""
+        calls = []
+
+        def counting(m, p):
+            calls.append(m)
+            return AbelianGroup(())
+
+        monkeypatch.setattr(af_invariant, "quotient_group", counting)
+        n = 64
+        lower = IntMatrix([[int(j in (i - 1, i)) for j in range(n)] for i in range(n)])
+        upper = IntMatrix([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+        a = validate_incidence(lower @ upper)  # tridiagonal, det 1
+        with pytest.raises(BudgetExceeded, match="513 trials at n = 64"):
+            invariance_probe(a, X_MINUS_1, trials=513)
+        assert calls == []
+        assert invariance_probe(a, X_MINUS_1, trials=512).trials == 512
+        assert len(calls) == 513  # the base group, then one per trial
 
 
 def _replayed_b(n, rng):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -9,7 +10,10 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.ntheory.continued_fraction import continued_fraction_periodic
+from sympy.ntheory.continued_fraction import (
+    continued_fraction_convergents,
+    continued_fraction_periodic,
+)
 
 from afcurves import contfrac
 from afcurves.af_invariant import AbelianGroup, quotient_group
@@ -18,9 +22,7 @@ from afcurves.contfrac import (
     PeriodicCF,
     QuadraticIrrational,
     SurdParseError,
-    convergent,
     expand,
-    gl2z_equivalent,
     incidence_from_period,
     _STATE_CAP,
     parse_surd,
@@ -59,6 +61,40 @@ def first_repeat_expand(theta: QuadraticIrrational, cap: int) -> PeriodicCF:
     return PeriodicCF(tuple(quotients[:start]), tuple(quotients[start:]))
 
 
+def gl2z_image(theta, a, b, c, d):
+    """(a theta + b)/(c theta + d) for ad - bc = +-1, exactly.  With
+    theta = (p + sqrt(D))/q it is (num + a sqrt(D))/(den + c sqrt(D)); times
+    the conjugate of the denominator that is (u + q(ad - bc) sqrt(D))/w."""
+    assert a * d - b * c in (1, -1)
+    p, big_d, q = theta.p_num, theta.d_rad, theta.q_den
+    num, den = a * p + b * q, c * p + d * q
+    u, w, k = num * den - a * c * big_d, den * den - c * c * big_d, q * (a * d - b * c)
+    s = 1 if k > 0 else -1
+    return QuadraticIrrational(s * u, k * k * big_d, s * w)
+
+
+def same_tail(x, y) -> bool:
+    """The minimal periods of x and y are rotations of each other."""
+    px, py = expand(x).period, expand(y).period
+    return len(px) == len(py) and any(px[i:] + px[:i] == py for i in range(len(px)))
+
+
+def sign_minus(theta, r) -> int:
+    """Exact sign of theta - r for rational r: with r = h/k (k > 0),
+    theta - r = (t + k sqrt(D)) / (q k), t = p k - h q, never 0."""
+    r = Fraction(r)
+    h, k = r.numerator, r.denominator
+    t = theta.p_num * k - h * theta.q_den
+    positive = t >= 0 or k * k * theta.d_rad > t * t
+    return (1 if positive else -1) * (1 if theta.q_den > 0 else -1)
+
+
+def convergents(cf: PeriodicCF, depth: int) -> list:
+    """The first `depth` convergents of cf, by sympy."""
+    terms = continued_fraction_convergents([*cf.preperiod, list(cf.period)])
+    return [Fraction(int(c.p), int(c.q)) for c in itertools.islice(terms, depth)]
+
+
 def outcome(expansion, theta):
     try:
         return expansion(theta)
@@ -84,18 +120,6 @@ class TestQuadraticIrrational:
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
             QuadraticIrrational(1.5, 2.9, 1)
-
-    def test_compare_to_rejects_float(self):
-        assert SQRT2.compare_to(Fraction(7, 5)) == SQRT2.compare_to("7/5") == 1
-        with pytest.raises(TypeError):
-            SQRT2.compare_to(1.4)
-
-    @given(surds(), st.fractions())
-    @settings(max_examples=80, deadline=None)
-    def test_compare_to_matches_float_free_oracle(self, theta, r):
-        expected = sp.Rational(theta.p_num) + sp.sqrt(theta.d_rad)
-        expected = expected / theta.q_den - sp.Rational(r)
-        assert theta.compare_to(r) == (1 if expected > 0 else -1)
 
 
 class TestExpand:
@@ -234,46 +258,54 @@ class TestIncidenceFromPeriod:
 
 
 class TestConvergent:
+    """The convergents of expand's quotients (by sympy) approach theta."""
+
     def test_sqrt2_depth4(self):
-        assert convergent(expand(SQRT2), 4) == Fraction(17, 12)
+        pell = [1, Fraction(3, 2), Fraction(7, 5), Fraction(17, 12)]
+        assert convergents(expand(SQRT2), 4) == pell
 
     def test_depth1_is_leading_quotient(self):
-        assert convergent(expand(SQRT2), 1) == Fraction(1)
+        assert convergents(expand(SQRT2), 1) == [1]
 
     def test_golden_fibonacci(self):
-        assert convergent(expand(GOLDEN), 5) == Fraction(8, 5)
+        fibonacci = [1, 2, Fraction(3, 2), Fraction(5, 3), Fraction(8, 5)]
+        assert convergents(expand(GOLDEN), 5) == fibonacci
 
     @given(surds())
     @settings(max_examples=80)
     def test_alternation_and_monotone_convergence(self, theta):
-        cf = expand(theta)
-        convergents = [convergent(cf, depth) for depth in range(1, 13)]
-        signs = [theta.compare_to(c) for c in convergents]
+        cs = convergents(expand(theta), 12)
+        signs = [sign_minus(theta, c) for c in cs]
         # successive convergents straddle theta
         assert all(a == -b for a, b in zip(signs, signs[1:]))
         # and |theta - c| strictly decreases: theta lies on the far side of
         # the midpoint of consecutive convergents (exact, no floats)
-        for c1, c2 in zip(convergents, convergents[1:]):
+        for c1, c2 in zip(cs, cs[1:]):
             midpoint = (c1 + c2) / 2
-            assert theta.compare_to(midpoint) == (1 if c2 > midpoint else -1)
+            assert sign_minus(theta, midpoint) == (1 if c2 > midpoint else -1)
 
 
 class TestGl2zEquivalence:
-    def test_sqrt2_equivalent_to_silver(self):
-        assert gl2z_equivalent(SQRT2, SILVER)
+    """Pairs come from the action theta -> (a theta + b)/(c theta + d),
+    ad - bc = +-1 (gl2z_image); by Serret's theorem their expansions share a
+    tail, so expand must give periods that are rotations of each other."""
 
-    def test_reflexive(self):
-        assert gl2z_equivalent(GOLDEN, GOLDEN)
+    def test_sqrt2_equivalent_to_silver(self):
+        assert gl2z_image(SQRT2, 1, 1, 0, 1) == SILVER
+        assert same_tail(SQRT2, SILVER)
 
     def test_sqrt2_not_equivalent_to_golden(self):
-        assert not gl2z_equivalent(SQRT2, GOLDEN)
+        # the action keeps the field: Q(sqrt 2) and Q(sqrt 5) share no tail
+        assert not same_tail(SQRT2, GOLDEN)
 
     def test_rotated_periods_are_equivalent(self):
         # [2,1] and [1,2] tails come from equivalent numbers
-        x = expand(QuadraticIrrational(0, 3, 1))  # sqrt(3) = [1; 1,2,...]
-        assert x.period in ((1, 2), (2, 1))
-        y = QuadraticIrrational(1, 3, 1)  # 1 + sqrt(3), purely periodic [2,1]
-        assert gl2z_equivalent(QuadraticIrrational(0, 3, 1), y)
+        x = QuadraticIrrational(0, 3, 1)  # sqrt(3) = [1; 1,2,...]
+        assert expand(x).period in ((1, 2), (2, 1))
+        y = gl2z_image(x, 1, 1, 0, 1)
+        assert y == QuadraticIrrational(1, 3, 1)  # 1 + sqrt(3), purely periodic [2,1]
+        assert expand(y).period == (2, 1)
+        assert same_tail(x, y)
 
     @given(surds())
     @settings(max_examples=40)
@@ -291,21 +323,29 @@ class TestGl2zEquivalence:
 
     def test_pinned_equivalent_pair_gives_equal_groups(self):
         x, y = parse_surd("sqrt(7)"), parse_surd("(2+sqrt(7))/3")
-        assert gl2z_equivalent(x, y)
+        assert gl2z_image(x, 0, 1, 1, -2) == y  # 1/(sqrt(7) - 2)
+        assert same_tail(x, y)
         for theta in (x, y):
             m = incidence_from_period(expand(theta)).m
             assert quotient_group(m, IntPolynomial([-1, 1])) == AbelianGroup((14,))
 
     def test_equivalent_surds_give_equal_groups(self):
-        # oracle: every pair gl2z_equivalent accepts among small surds
-        # (p + sqrt(d))/q has the same invariant at each polynomial
+        # each small surd (p + sqrt(d))/q against its images under three
+        # seeded GL(2,Z) elements: the tails agree, and so does the
+        # invariant at each polynomial
         polys = [IntPolynomial(c) for c in ((-1, 1), (1, 1), (-1, -1, 1), (1, -2, 0, 1))]
-        by_radicand = {}
-        for d in range(2, 16):
-            if isqrt(d) ** 2 != d:
-                for p, q in itertools.product(range(-3, 4), (-3, -2, -1, 1, 2, 3)):
-                    theta = QuadraticIrrational(p, d, q)
-                    by_radicand.setdefault(theta.d_rad, set()).add(theta)
+        thetas = {
+            QuadraticIrrational(p, d, q)
+            for d in range(2, 16)
+            if isqrt(d) ** 2 != d
+            for p, q in itertools.product(range(-3, 4), (-3, -2, -1, 1, 2, 3))
+        }
+        elements = [
+            (a, b, c, d)
+            for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
+            if a * d - b * c in (1, -1)
+        ]
+        rng = random.Random(17)
 
         @functools.cache
         def groups(theta):
@@ -313,11 +353,12 @@ class TestGl2zEquivalence:
             return [quotient_group(m, p) for p in polys]
 
         pairs = 0
-        for family in by_radicand.values():
-            for x, y in itertools.combinations(sorted(family, key=str), 2):
-                if gl2z_equivalent(x, y):
-                    pairs += 1
-                    assert groups(x) == groups(y), (x, y)
+        for x in sorted(thetas, key=str):
+            for g in rng.sample(elements, 3):
+                y = gl2z_image(x, *g)
+                assert same_tail(x, y), (x, g)
+                assert groups(x) == groups(y), (x, g)
+                pairs += 1
         assert pairs > 1000
 
 
@@ -332,11 +373,12 @@ class TestSurdParsing:
 
     def test_minus_branch(self):
         theta = parse_surd("(1-sqrt(2))/1")  # = (-1+sqrt(2))/(-1)
-        assert theta.compare_to(Fraction(0)) == -1
+        assert (theta.p_num, theta.d_rad, theta.q_den) == (-1, 2, -1)
+        assert sign_minus(theta, 0) == -1
 
     def test_negative_denominator(self):
         theta = parse_surd("(0+sqrt(2))/-1")
-        assert theta.compare_to(Fraction(0)) == -1
+        assert sign_minus(theta, 0) == -1
         assert expand(theta).preperiod[0] == -2
 
     def test_perfect_square(self):

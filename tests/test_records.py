@@ -178,22 +178,39 @@ class TestPostInitValidation:
             Point(x=None, y=Fraction(1))
 
 
-def test_import_loads_no_stdlib_module_beyond_the_ones_used():
-    # stdlib modules afcurves imports are loaded first, so what each Python
-    # version's stdlib pulls in internally does not count; dataclasses (with
-    # inspect, ast, dis and tokenize) must not come in
+def modules_added_by_cli_import(preload: str) -> list:
+    """The modules `import afcurves.cli` adds in a fresh interpreter, after
+    `preload` runs there; comparing inside the child leaves out whatever the
+    interpreter itself loads at startup (a site .pth file, say)."""
     code = (
-        "import __future__, argparse, csv, fractions, itertools, json, math, "
-        "operator, os, random, re, sys\n"
+        f"{preload}\n"
         "before = set(sys.modules)\n"
         "import afcurves.cli\n"
         "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     ).stdout.split()
+
+
+def test_import_loads_no_stdlib_module_beyond_the_ones_used():
+    # stdlib modules afcurves imports are loaded first, so what each Python
+    # version's stdlib pulls in internally does not count; dataclasses (with
+    # inspect, ast, dis and tokenize) must not come in
+    out = modules_added_by_cli_import(
+        "import __future__, argparse, csv, fractions, itertools, json, math, "
+        "operator, os, random, re, sys"
+    )
     assert "afcurves.cli" in out
     assert [m for m in out if m != "afcurves" and not m.startswith("afcurves.")] == []
+
+
+def test_import_adds_only_stdlib_and_afcurves_modules():
+    # the package is stdlib only, whatever the tests' oracles (sympy) import
+    out = modules_added_by_cli_import("import sys")
+    allowed = sys.stdlib_module_names | {"afcurves"}
+    assert "afcurves.cli" in out
+    assert [m for m in out if m.partition(".")[0] not in allowed] == []

@@ -10,7 +10,7 @@ import afcurves.cli  # noqa: F401  (loads every afcurves module that could bind 
 from afcurves import exact_linalg, zeta
 from afcurves.af_invariant import validate_incidence
 from afcurves.elliptic import CurveQ, legendre_model
-from afcurves.exact_linalg import IntMatrix, determinant, mat_pow
+from afcurves.exact_linalg import IntMatrix, determinant, mat_pow, trace_power
 from afcurves.zeta import (
     MILLER_RABIN_BOUND,
     RESIDUE_COUNT_MAX,
@@ -24,7 +24,6 @@ from afcurves.zeta import (
     curve_local_zeta,
     is_bad_prime,
     is_prime,
-    lp_matrix,
     operator_local_zeta_counts,
     trace_frobenius,
 )
@@ -33,6 +32,13 @@ E_CM = CurveQ(-1, 0)
 A_STD = validate_incidence(IntMatrix([[5, 2], [2, 1]]))
 # tr = 4, so tr^2 - 4 = 12 and 5, 7, 101 are good primes for it
 A_3X3 = validate_incidence(IntMatrix([[2, 1, 0], [0, 1, 1], [1, 1, 1]]))
+
+
+def lp_matrix(a, p: int) -> IntMatrix:
+    """The paper's L_p = [[tr(A^p), p], [-1, 0]], with tr(A^p) read off
+    mat_pow rather than trace_power, which the operator side runs on."""
+    return IntMatrix([[mat_pow(a.m, p).trace(), p], [-1, 0]])
+
 
 GOOD_ODD_PRIMES_UNDER_50 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -305,6 +311,7 @@ class TestLpMatrix:
     )
     def test_known(self, p, expected):
         assert lp_matrix(A_STD, p) == IntMatrix(expected)
+        assert trace_power(A_STD.m, p) == expected[0][0]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_det_is_p(self, p):
@@ -336,7 +343,7 @@ class TestOperatorCounts:
     def test_three_by_three_matches_direct_determinant(self, p):
         assert not is_bad_prime(A_3X3, p)
         lp = lp_matrix(A_3X3, p)
-        assert lp[0, 0] == mat_pow(A_3X3.m, p).trace()
+        assert trace_power(A_3X3.m, p) == lp[0, 0]
         counts = operator_local_zeta_counts(A_3X3, p, 6)
         for n in range(1, 7):
             direct = determinant(IntMatrix.identity(2) - mat_pow(lp, n))
