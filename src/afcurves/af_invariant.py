@@ -6,7 +6,8 @@ finitely generated abelian group Z^n / p(A) Z^n, read off the Smith diagonal
 of p(A).  The diagonal comes from exact_linalg.smith_diagonal, which builds no
 transforms and checks prod(d) = |det p(A)| instead of a P, Q certificate.  The
 group is unchanged by GL_n(Z) conjugation of A, which the probe harness
-checks on random conjugates made by elementary moves on a copy of A (no B).
+checks on random conjugates made by elementary moves on a copy of A (no B);
+each move is exact_linalg._move, the step random_glnz also builds B from.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from .exact_linalg import (
     is_unimodular,
     mat_poly_eval,
     smith_diagonal,
+    _MOVE_FACTORS,
+    _move,
 )
 
-# Conjugates invariance_probe tries before BudgetExceeded: 11-14 s at n = 32
-# (2.8-3.5 ms a trial) on CPython 3.11, 2 shared vCPUs.  A trial costs about
-# n^3, so past n = 32 the cap is on trials * n^3 at that same point.
+# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 11-14 s
+# at n = 32 (2.8-3.5 ms a trial) on CPython 3.11, 2 shared vCPUs.  One rule
+# holds every n to that work: trials * max(n, 32)^3 <= _TRIAL_CAP * 32^3.
 _TRIAL_CAP = 4096
 
 
@@ -182,30 +185,20 @@ class ProbeReport(Record):
 
 
 def _conjugate(m: IntMatrix, rng: random.Random) -> IntMatrix:
-    """B m B^-1, B a product of 20 elementary matrices drawn from rng: each
-    row step on m (swap rows i, j; negate row i; add k * row j to row i,
-    |k| <= 3) is followed by its inverse column step.  1 x 1 only negates."""
+    """B m B^-1, B a product of 20 elementary moves (exact_linalg._move) drawn
+    from rng; 1 x 1 only negates."""
     n = m.n
     c = [list(row) for row in m.rows]
     for _ in range(20):
         op = rng.randrange(3) if n > 1 else 1
         i = rng.randrange(n)
-        if op == 1:
-            c[i] = [-x for x in c[i]]
-            for row in c:
-                row[i] = -row[i]
-            continue
-        j = rng.randrange(n - 1)
-        j += j >= i
-        if op == 0:
-            c[i], c[j] = c[j], c[i]
-            for row in c:
-                row[i], row[j] = row[j], row[i]
-        else:
-            k = rng.choice((-3, -2, -1, 1, 2, 3))
-            c[i] = [x + k * y for x, y in zip(c[i], c[j])]
-            for row in c:
-                row[j] -= k * row[i]
+        j = k = 0
+        if op != 1:
+            j = rng.randrange(n - 1)
+            j += j >= i
+            if op == 2:
+                k = rng.choice(_MOVE_FACTORS)
+        _move(c, c, op, i, j, k)
     return IntMatrix(c)
 
 
@@ -216,17 +209,16 @@ def invariance_probe(
 
     Each conjugate is a copy of A after 20 random elementary moves, all drawn
     from one seeded stream (_conjugate).  It may have negative entries; the
-    quotient group is still defined and must match.  More than _TRIAL_CAP
-    trials, or trials * n^3 over _TRIAL_CAP * 32^3, raise BudgetExceeded
-    before any work.
+    quotient group is still defined and must match.  The cap charges a trial
+    max(n, 32)^3: trials * max(n, 32)^3 over _TRIAL_CAP * 32^3 raises
+    BudgetExceeded before any work.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if trials > _TRIAL_CAP:
-        raise BudgetExceeded(f"{trials} trials is over the cap of {_TRIAL_CAP}")
-    if trials * a.n**3 > _TRIAL_CAP * 32**3:
+    if trials * max(a.n, 32) ** 3 > _TRIAL_CAP * 32**3:
         raise BudgetExceeded(
-            f"{trials} trials at n = {a.n} is more work than {_TRIAL_CAP} at n = 32"
+            f"{trials} trials at n = {a.n} is over the cap: trials * max(n, 32)^3 "
+            f"may not exceed {_TRIAL_CAP} * 32^3"
         )
     base = quotient_group(a.m, p)
     rng = random.Random(seed)

@@ -199,23 +199,9 @@ def _cmd_jmap(args) -> int:
     return 0
 
 
-def _zeta_row_bits(m: exact_linalg.IntMatrix, p: int, order: int) -> int:
-    """A bound on the bits of every integer a zeta row prints.  |tr(A^p)| <=
-    T = n * ||A||^p (||A|| the largest row sum: log2 n + p log2 ||A|| bits);
-    R = T + p + 1 bounds the roots of x^2 - tr(A^p) x + p and the Frobenius
-    roots, so each count at k <= order is at most 4 R^k.  ||A||^p is at
-    least 2^(p (bits(||A||) - 1)), so past the cap that exponent is enough."""
-    norm = max(sum(map(abs, row)) for row in m.rows)
-    floor_bits = p * (norm.bit_length() - 1)
-    if floor_bits > _PRINTABLE_BITS:
-        return floor_bits
-    return 2 + max(order, 1) * (m.n * norm**p + p + 1).bit_length()
-
-
 def _cmd_zeta(args) -> int:
     curve, _model = elliptic.parse_curve_spec(args.curve)
-    m = exact_linalg.parse_matrix(args.matrix)
-    a = af_invariant.validate_incidence(m)
+    a = af_invariant.validate_incidence(exact_linalg.parse_matrix(args.matrix))
     primes = sorted(set(exact_linalg.parse_int_list(args.primes, "prime")))
     if args.order < 0:
         raise ValueError("order must be >= 0")
@@ -226,7 +212,7 @@ def _cmd_zeta(args) -> int:
         try:
             if not zeta.is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            if _zeta_row_bits(m, p, args.order) > _PRINTABLE_BITS:
+            if zeta.local_bits_bound(a, p, args.order) > _PRINTABLE_BITS:
                 raise exact_linalg.BudgetExceeded(
                     f"the row at p = {p} may print integers over "
                     f"{PRINTABLE_DIGITS} digits"
@@ -275,7 +261,7 @@ def _cmd_conjecture(args) -> int:
         raise corpus.CorpusError(
             f"no corpus file given and ${CORPUS_ENV} is not set"
         )
-    reports = corpus.run_corpus(corpus.load_corpus(path))
+    reports = [corpus.run_entry(entry) for entry in corpus.load_corpus(path)]
     _emit([_conjecture_row(r) for r in reports], args.format)
     failed = any(r.expected_match is False for r in reports)
     return 1 if failed else 0

@@ -140,10 +140,6 @@ def run_entry(entry) -> ConjectureReport:
         return ConjectureReport(entry, error=f"{type(exc).__name__}: {exc}")
 
 
-def run_corpus(entries) -> list:
-    return [run_entry(entry) for entry in entries]
-
-
 def _parse_expected(raw) -> AbelianGroup | None:
     if raw is None or raw == "":
         return None
@@ -199,15 +195,19 @@ def load_corpus(path: str) -> list:
     label, lambda, theta, poly, expected (and optionally a, b, matrix).
 
     Records that fail validation become InvalidEntry placeholders so one
-    bad row cannot abort a batch run.  A file that cannot be read raises
-    CorpusError.
+    bad row cannot abort a batch run.  The file is read as UTF-8 whatever
+    the locale, a leading byte-order mark dropped.  A file that cannot be
+    read, is not UTF-8 or does not parse raises CorpusError.
     """
     is_csv = str(path).lower().endswith(".csv")
     try:
-        with open(path, newline="" if is_csv else None) as fh:
+        with open(path, encoding="utf-8-sig", newline="" if is_csv else None) as fh:
             records = list(csv.DictReader(fh)) if is_csv else json.load(fh)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
+        kind = "CSV" if is_csv else "JSON"
+        raise CorpusError(f"corpus file is not UTF-8 {kind}: {exc}") from None
     if not is_csv and not isinstance(records, list):
         raise CorpusError("corpus JSON must be an array of entries")
     entries = []

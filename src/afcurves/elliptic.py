@@ -267,10 +267,10 @@ MAZUR_ADMISSIBLE = frozenset(
 )
 
 
-def _order_up_to(e: CurveQ, p: Point, bound: int = 12):
-    """Order of p if at most `bound`, else None (then p is non-torsion over Q)."""
+def _order_up_to(e: CurveQ, p: Point):
+    """Order of p if at most 12, else None: then p is non-torsion (Mazur)."""
     acc = p
-    for k in range(2, bound + 1):
+    for k in range(2, 13):
         acc = add_points(e, acc, p)
         if acc.is_infinity:
             return k

@@ -1,6 +1,7 @@
 """Exact integer matrix arithmetic: Smith normal form, fraction-free
 determinants, polynomial evaluation at a matrix, and a seeded GL_n(Z)
-generator of (B, B^-1) pairs for tests (the invariance probe forms no B).
+generator of (B, B^-1) pairs for tests; _move is its elementary move step,
+and the invariance probe conjugates A in place with the same step.
 
 One reduction, _smith, gives the Smith form two ways; it reduces the leading
 n x n block of a list of rows, and whatever the rows carry beyond that block
@@ -201,8 +202,8 @@ class IntPolynomial(Record):
 
     coeffs: tuple
 
-    def __init__(self, coeffs):
-        coeffs = list(map(operator.index, coeffs))
+    def __post_init__(self):
+        coeffs = list(map(operator.index, self.coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -522,11 +523,33 @@ def determinantal_divisors(m: IntMatrix) -> list:
     return out
 
 
+_MOVE_FACTORS = (-3, -2, -1, 1, 2, 3)  # the k of an add move
+
+
+def _move(left: list, right: list, op: int, i: int, j: int, k: int) -> None:
+    """One elementary GL_n(Z) move E in place: its row step on the rows `left`
+    (op 0 swaps rows i, j; op 1 negates row i; op 2 adds k * row j to row i),
+    then the column step of E^-1 on `right`.  left = B, right = B^-1 keeps the
+    pair inverse; left = right = M makes E M E^-1."""
+    if op == 0:
+        left[i], left[j] = left[j], left[i]
+        for row in right:
+            row[i], row[j] = row[j], row[i]
+    elif op == 1:
+        left[i] = [-x for x in left[i]]
+        for row in right:
+            row[i] = -row[i]
+    else:
+        left[i] = [x + k * y for x, y in zip(left[i], left[j])]
+        for row in right:
+            row[j] -= k * row[i]
+
+
 def random_glnz(n: int, steps: int = 20, seed: int = 0) -> tuple:
     """Seeded (B, B^-1), B a product of `steps` random elementary matrices.
 
     Row swaps, negations, and additions with |k| <= 3 build B; each row step
-    E on B is mirrored by the column step E^-1 on B^-1.
+    E on B is mirrored by the column step E^-1 on B^-1 (_move).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -537,22 +560,8 @@ def random_glnz(n: int, steps: int = 20, seed: int = 0) -> tuple:
     inv = [row[:] for row in b]
     for _ in range(steps):
         op = rng.randrange(3) if n > 1 else 1
-        if op == 0:
-            i, j = rng.sample(range(n), 2)
-            b[i], b[j] = b[j], b[i]
-            for row in inv:
-                row[i], row[j] = row[j], row[i]
-        elif op == 1:
-            i = rng.randrange(n)
-            b[i] = [-x for x in b[i]]
-            for row in inv:
-                row[i] = -row[i]
-        else:
-            i, j = rng.sample(range(n), 2)
-            k = rng.choice([-3, -2, -1, 1, 2, 3])
-            b[i] = [x + k * y for x, y in zip(b[i], b[j])]
-            for row in inv:
-                row[j] -= k * row[i]
+        i, j = rng.sample(range(n), 2) if op != 1 else (rng.randrange(n), 0)
+        _move(b, inv, op, i, j, rng.choice(_MOVE_FACTORS) if op == 2 else 0)
     b, inv = IntMatrix(b), IntMatrix(inv)
     if b @ inv != IntMatrix.identity(n):
         raise RuntimeError("replayed inverse failed B @ B^-1 == I")

@@ -15,7 +15,8 @@ degenerate branch |1 - alpha^n| when p divides tr(A)^2 - 4.  tr(A^p) is
 x^p reduced modulo the characteristic polynomial of A (Cayley-Hamilton,
 exact_linalg.trace_power), O(n^2 log p) big-integer products; no A^p.
 One routine, _operator_side, takes tr(A^p) and decides the branch once;
-operator_local_zeta_counts and compare_local both read it.
+operator_local_zeta_counts and compare_local both read it.  local_bits_bound
+bounds the bits of compare_local's integers before tr(A^p) is taken.
 
 compare_local assembles both sequences side by side and records per-n
 equality flags without asserting them: whether the two local zetas agree
@@ -25,7 +26,6 @@ under some normalization is the open question the report is for.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .af_invariant import IncidenceMatrix
@@ -354,8 +354,8 @@ def count_points(e, p: int, n: int = 1) -> int:
 class ZetaSeries(Record):
     """Curve-side local zeta to order N, by two routes that must agree.
 
-    exp_coefficients come from exp(sum #E(F_{p^n}) z^n / n) with exact
-    rational arithmetic; closed_coefficients expand
+    exp_coefficients come from exp(sum #E(F_{p^n}) z^n / n) in integers,
+    each division checked exact; closed_coefficients expand
     (1 - a_p z + p z^2) / ((1 - z)(1 - p z)).
     """
 
@@ -367,39 +367,33 @@ class ZetaSeries(Record):
     denominator: tuple
 
 
+def _local_factor(a_p: int, p: int) -> tuple:
+    """(1 - a_p z + p z^2) / ((1 - z)(1 - p z)) as two tuples, constant first."""
+    return (1, -a_p, p), (1, -(1 + p), p)
+
+
 def curve_local_zeta(e, p: int, order: int) -> ZetaSeries:
     """Local zeta series of the curve at p, to the given order."""
     if order < 0:
         raise ValueError("order must be >= 0")
     a_p = trace_frobenius(e, p)
     counts = list(_curve_counts(a_p, p, order))
-    exp_coeffs = [Fraction(1)]
+    exp_coeffs = [1]
     for k in range(1, order + 1):
-        exp_coeffs.append(
-            sum(counts[j - 1] * exp_coeffs[k - j] for j in range(1, k + 1))
-            / Fraction(k)
-        )
+        total = sum(counts[j - 1] * exp_coeffs[k - j] for j in range(1, k + 1))
+        if total % k:
+            break  # not an integer, so the check below fails on the length
+        exp_coeffs.append(total // k)
+    numerator, denominator = _local_factor(a_p, p)
+    # 1/((1 - z)(1 - p z)) = sum of (p^(k+1) - 1)/(p - 1) z^k
     geom = [(p ** (k + 1) - 1) // (p - 1) for k in range(order + 1)]
-
-    def _closed(k: int) -> int:
-        total = geom[k]
-        if k >= 1:
-            total -= a_p * geom[k - 1]
-        if k >= 2:
-            total += p * geom[k - 2]
-        return total
-
-    closed = tuple(_closed(k) for k in range(order + 1))
-    if any(x != y for x, y in zip(exp_coeffs, closed)):
-        raise RuntimeError(f"exp and closed zeta coefficients differ at p = {p}")
-    return ZetaSeries(
-        prime=p,
-        a_p=a_p,
-        exp_coefficients=tuple(int(x) for x in exp_coeffs),
-        closed_coefficients=closed,
-        numerator=(1, -a_p, p),
-        denominator=(1, -(1 + p), p),
+    closed = tuple(
+        sum(c * geom[k - i] for i, c in enumerate(numerator[: k + 1]))
+        for k in range(order + 1)
     )
+    if tuple(exp_coeffs) != closed:
+        raise RuntimeError(f"exp and closed zeta coefficients differ at p = {p}")
+    return ZetaSeries(p, a_p, tuple(exp_coeffs), closed, numerator, denominator)
 
 
 def is_bad_prime(a: IncidenceMatrix, p: int) -> bool:
@@ -452,6 +446,19 @@ class LocalZetaReport(Record):
     match_flags: tuple
 
 
+def local_bits_bound(a: IncidenceMatrix, p: int, order: int) -> int:
+    """A bound on the bits of every integer in compare_local(e, a, p, order).
+    |tr(A^p)| <= T = n * ||A||^p, ||A|| the largest row sum; R = T + p + 1
+    bounds the roots of x^2 - tr(A^p) x + p and the Frobenius roots, so each
+    count at k <= order is at most 4 R^k.  Past 2^20 bits the floor
+    p (bits(||A||) - 1) of log2 ||A||^p is returned instead of forming it."""
+    norm = max(sum(map(abs, row)) for row in a.m.rows)
+    floor_bits = p * (norm.bit_length() - 1)
+    if floor_bits > 2**20:
+        return floor_bits
+    return 2 + max(order, 1) * (a.n * norm**p + p + 1).bit_length()
+
+
 def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
     """Operator counts for n = 1..order and the OperatorParams that made them."""
     if order < 0:
@@ -481,7 +488,7 @@ def compare_local(
         prime=p,
         curve_counts=curve_counts,
         a_p=a_p,
-        curve_factor=CurveFactor(numerator=(1, -a_p, p), denominator=(1, -(1 + p), p)),
+        curve_factor=CurveFactor(*_local_factor(a_p, p)),
         operator_counts=operator_counts,
         operator_params=operator_params,
         match_flags=tuple(c == o for c, o in zip(curve_counts, operator_counts)),

@@ -318,9 +318,10 @@ class TestInvarianceProbe:
             invariance_probe(a, X_MINUS_1, trials=cap + 1)
         assert calls == []
 
-    def test_work_cap(self, monkeypatch):
-        """Past n = 32 the cap is on trials * n^3: at n = 64 it admits 512
-        trials, and 513 raise before any quotient."""
+    @pytest.mark.parametrize("n,admitted", [(2, 4096), (32, 4096), (33, 3734), (64, 512)])
+    def test_work_cap(self, monkeypatch, n, admitted):
+        """One rule, trials * max(n, 32)^3 <= 4096 * 32^3: at its boundary the
+        admitted count runs, and one trial more raises before any quotient."""
         calls = []
 
         def counting(m, p):
@@ -328,15 +329,14 @@ class TestInvarianceProbe:
             return AbelianGroup(())
 
         monkeypatch.setattr(af_invariant, "quotient_group", counting)
-        n = 64
         lower = IntMatrix([[int(j in (i - 1, i)) for j in range(n)] for i in range(n)])
         upper = IntMatrix([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
         a = validate_incidence(lower @ upper)  # tridiagonal, det 1
-        with pytest.raises(BudgetExceeded, match="513 trials at n = 64"):
-            invariance_probe(a, X_MINUS_1, trials=513)
+        with pytest.raises(BudgetExceeded, match=f"{admitted + 1} trials at n = {n}"):
+            invariance_probe(a, X_MINUS_1, trials=admitted + 1)
         assert calls == []
-        assert invariance_probe(a, X_MINUS_1, trials=512).trials == 512
-        assert len(calls) == 513  # the base group, then one per trial
+        assert invariance_probe(a, X_MINUS_1, trials=admitted).trials == admitted
+        assert len(calls) == admitted + 1  # the base group, then one per trial
 
 
 def _replayed_b(n, rng):

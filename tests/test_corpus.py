@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,12 +14,12 @@ from afcurves.corpus import (
     CorpusError,
     InvalidEntry,
     load_corpus,
-    run_corpus,
     run_entry,
 )
 from afcurves.exact_linalg import IntMatrix, IntPolynomial, parse_poly
 
 BUNDLED = Path(__file__).resolve().parent.parent / "data" / "cm_corpus.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def gaussian_entry(**overrides):
@@ -117,7 +120,7 @@ class TestLoadCorpus:
         entries = load_corpus(str(path))
         assert isinstance(entries[0], InvalidEntry)
         assert isinstance(entries[1], CorpusEntry)
-        reports = run_corpus(entries)
+        reports = [run_entry(entry) for entry in entries]
         assert reports[0].error is not None
         assert reports[1].error is None
 
@@ -282,7 +285,7 @@ class TestLoadCorpus:
         path.write_text(json.dumps([1, row]))
         bad, fine = load_corpus(str(path))
         assert bad == InvalidEntry("?", "CorpusError: entry must be an object, got int")
-        assert run_corpus([bad, fine])[1].verdicts[0].verdict == "match"
+        assert run_entry(fine).verdicts[0].verdict == "match"
 
     def test_missing_file_is_corpus_error(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read corpus file"):
@@ -292,6 +295,46 @@ class TestLoadCorpus:
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps({"label": "x"}))
         with pytest.raises(CorpusError):
+            load_corpus(str(path))
+
+    def test_csv_with_a_byte_order_mark(self, tmp_path):
+        # spreadsheet tools save CSV as UTF-8 with a BOM before the first header
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(
+            b"\xef\xbb\xbflabel,lambda,theta,poly,expected\n"
+            b'gaussian,-1,(1+sqrt(2))/1,"-1,1","2,2"\n'
+        )
+        (entry,) = load_corpus(str(path))
+        assert entry == gaussian_entry()
+
+    def test_utf8_label_under_the_c_locale(self, tmp_path):
+        row = {"label": "café λ", "lambda": "-1", "matrix": "5,2;2,1", "poly": "-1,1"}
+        path = tmp_path / "corpus.json"
+        path.write_bytes(json.dumps([row], ensure_ascii=False).encode("utf-8"))
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath, "LC_ALL": "C", "PYTHONUTF8": "0"}
+        done = subprocess.run(
+            [sys.executable, "-m", "afcurves", "conjecture", str(path), "--format", "json"],
+            env=env, capture_output=True, check=False,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        (out,) = json.loads(done.stdout)
+        assert out["label"] == "café λ"
+        assert out["invariants"][0]["verdict"] == "match"
+
+    @pytest.mark.parametrize(
+        "name,data",
+        [
+            ("corpus.json", "[{\"label\": \"café\"}]".encode("latin-1")),
+            ("corpus.csv", "label\ncafé\n".encode("latin-1")),
+            ("corpus.json", b"[{\"label\": "),
+            ("corpus.csv", b"label\n" + b"x" * 200_000 + b"\n"),  # over csv's field limit
+        ],
+    )
+    def test_undecodable_file_is_corpus_error(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(CorpusError, match="corpus file is not UTF-8"):
             load_corpus(str(path))
 
     def test_parse_poly_is_what_corpus_uses(self):

@@ -111,3 +111,40 @@ def test_hasse_check_fires_on_shanks_mestre_route(monkeypatch):
     monkeypatch.setattr(zeta, "_hasse_candidates", lambda m_e, m_t, p, lo, hi: [hi + 1])
     with pytest.raises(RuntimeError, match="Hasse"):
         zeta.trace_frobenius(elliptic.CurveQ(-1, 0), zeta.RESIDUE_COUNT_MAX + 4)
+
+
+def test_torsion_points_that_fit_no_group_raise(monkeypatch):
+    # y^2 = x^3 + 1 has torsion Z_6; calling each point with y != 0 order 4
+    # leaves 6 points of exponent 4, which no group over Q has
+    monkeypatch.setattr(elliptic, "_order_up_to", lambda e, p: 4)
+    with pytest.raises(RuntimeError, match="fit no group"):
+        elliptic.torsion_subgroup(elliptic.CurveQ(0, 1))
+
+
+def test_orders_on_curve_and_twist_that_disagree_raise():
+    # at p = 7 both orders 3 ask for 3 | N and 3 | 16 - N, and 3 does not divide 16
+    with pytest.raises(RuntimeError, match="disagree"):
+        zeta._hasse_candidates(3, 3, 7, 3, 13)
+
+
+def test_window_with_no_multiple_of_the_order_raises():
+    # (4, 4) has order 9 on y^2 = x^3 + x + 3 over F_11: [8, 10] holds 9,
+    # the 3-wide window [10, 12] holds no multiple of it
+    assert zeta._order_modulus((4, 4), 1, 11, 8, 10) == 9
+    with pytest.raises(RuntimeError, match="no multiple of a point's order"):
+        zeta._order_modulus((4, 4), 1, 11, 10, 12)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        # y^2 = x^3 - x at p = 5 has counts (8, 32) and closed series 1, 8, 48;
+        # (8 * 8 + 33) / 2 is no integer, though its floor is 48
+        (8, 33),
+        (0, 0),  # an integral series that is not the closed one
+    ],
+)
+def test_exp_and_closed_zeta_disagreeing_raise(monkeypatch, counts):
+    monkeypatch.setattr(zeta, "_curve_counts", lambda a_p, p, order: iter(counts))
+    with pytest.raises(RuntimeError, match="exp and closed zeta coefficients differ"):
+        zeta.curve_local_zeta(elliptic.CurveQ(-1, 0), 5, 2)

@@ -493,3 +493,52 @@ def test_compare_local_takes_no_matrix_power(monkeypatch):
                     bound += 1
     assert bound >= 2  # exact_linalg and the package namespace at least
     assert [compare_local(E_CM, a, p, 3) for a, p in cases] == expected
+
+
+def _report_ints(value):
+    """Every integer in a report: its Record fields and tuples, walked."""
+    if isinstance(value, int):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _report_ints(item)
+    elif isinstance(value, exact_linalg.Record):
+        for field in value._fields:
+            yield from _report_ints(getattr(value, field))
+
+
+def _elementary(n, i, j):
+    return IntMatrix([[int(r == c or (r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
+@st.composite
+def small_incidence(draw):
+    """A product of elementary I + E_ij, n <= 3, that is primitive."""
+    n = draw(st.integers(1, 3))
+    m = IntMatrix.identity(n)
+    if n > 1:
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8)):
+            m = m @ _elementary(n, i, j)
+    try:
+        return validate_incidence(m)
+    except ValueError:
+        assume(False)
+
+
+@given(
+    small_incidence(),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+    st.sampled_from([q for q in range(3, 400) if is_prime(q)]),
+    st.integers(0, 4),
+    st.sampled_from((-1, 0, 1)),
+)
+@settings(deadline=None)
+def test_local_bits_bound_holds_every_report_integer(a, ca, cb, p, order, alpha):
+    assume(4 * ca**3 + 27 * cb**2 != 0)
+    e = CurveQ(ca, cb)
+    assume(e.disc % p != 0)
+    report = compare_local(e, a, p, order, alpha=alpha)
+    bound = zeta.local_bits_bound(a, p, order)
+    assert max(x.bit_length() for x in _report_ints(report)) <= bound
