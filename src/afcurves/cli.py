@@ -2,11 +2,14 @@
 
 Subcommands: snf, abelianize, bowen-franks, probe, cf, torsion, jmap, zeta,
 conjecture.  Every command takes --format text|json and is deterministic for
-fixed arguments and seed.  Each command builds one payload of domain objects;
-`encode` turns it into JSON values, and text output is the sorted `key: value`
-rendering of the same payload.  JSON output is byte-stable (sorted keys,
-rationals rendered p/q in lowest terms with positive denominator).  All
-numeric I/O is exact: integers and p/q rationals only.
+fixed arguments and seed.  Each command returns one payload of domain objects
+and its exit status and writes nothing; `encode` turns the payload into JSON
+values, and text output is the sorted `key: value` rendering of the same
+payload.  `main` alone writes stdout, once, after the command and its
+rendering succeed; a refusal (always a ValueError) is one stderr report and
+exit status 1.  JSON output is byte-stable (sorted keys, rationals rendered
+p/q in lowest terms with positive denominator).  All numeric I/O is exact:
+integers and p/q rationals only.
 """
 
 from __future__ import annotations
@@ -82,12 +85,12 @@ def _text_lines(value, pad: str = ""):
             yield from _text_lines(item, pad + "  ")
 
 
-def _emit(payload, fmt: str) -> None:
+def _render(payload, fmt: str) -> str:
+    """The whole stdout of a command; in text mode every line ends in a
+    newline, so an empty payload renders as nothing."""
     if fmt == "json":
-        print(json.dumps(encode(payload), sort_keys=True, indent=2))
-    else:
-        for line in _text_lines(encode(payload, text=True)):
-            print(line)
+        return json.dumps(encode(payload), sort_keys=True, indent=2) + "\n"
+    return "".join(line + "\n" for line in _text_lines(encode(payload, text=True)))
 
 
 def _emit_error(exc: Exception, fmt: str) -> int:
@@ -103,50 +106,40 @@ def _emit_error(exc: Exception, fmt: str) -> int:
 # --- subcommand implementations --------------------------------------------
 
 
-def _cmd_snf(args) -> int:
+def _cmd_snf(args) -> tuple:
     m = exact_linalg.parse_matrix(args.matrix)
     dec = exact_linalg.snf(m)
-    _emit(
-        {
-            "matrix": m,
-            "diagonal": dec.d,
-            "p_left": dec.p_left,
-            "q_right": dec.q_right,
-            "verified": True,  # snf raises unless the certificate verifies
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "matrix": m,
+        "diagonal": dec.d,
+        "p_left": dec.p_left,
+        "q_right": dec.q_right,
+        "verified": True,  # snf raises unless the certificate verifies
+    }, 0
 
 
-def _cmd_abelianize(args) -> int:
+def _cmd_abelianize(args) -> tuple:
     m = exact_linalg.parse_matrix(args.matrix)
     p = exact_linalg.parse_poly(args.poly)
     group = af_invariant.abelianize(af_invariant.validate_incidence(m), p)
-    _emit({"matrix": m, "polynomial": p, "group": group}, args.format)
-    return 0
+    return {"matrix": m, "polynomial": p, "group": group}, 0
 
 
-def _cmd_bowen_franks(args) -> int:
+def _cmd_bowen_franks(args) -> tuple:
     m = exact_linalg.parse_matrix(args.matrix)
     group = af_invariant.bowen_franks(af_invariant.validate_incidence(m))
     det = exact_linalg.determinant(m - exact_linalg.IntMatrix.identity(m.n))
-    _emit(
-        {"matrix": m, "group": group, "order": group.order(), "det_a_minus_i": det},
-        args.format,
-    )
-    return 0
+    return {"matrix": m, "group": group, "order": group.order(), "det_a_minus_i": det}, 0
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args) -> tuple:
     a = af_invariant.validate_incidence(exact_linalg.parse_matrix(args.matrix))
     p = exact_linalg.parse_poly(args.poly)
     report = af_invariant.invariance_probe(a, p, trials=args.trials, seed=args.seed)
-    _emit(report, args.format)
-    return 0 if report.failures == 0 else 1
+    return report, 0 if report.failures == 0 else 1
 
 
-def _cmd_cf(args) -> int:
+def _cmd_cf(args) -> tuple:
     theta = contfrac.parse_surd(args.surd)
     cf = contfrac.expand(theta)
     payload = {"surd": theta, "preperiod": cf.preperiod, "period": cf.period}
@@ -158,11 +151,10 @@ def _cmd_cf(args) -> int:
             "period taken from the earliest recurring state; cyclic rotations "
             "of the period give GL_2(Z)-similar matrices"
         )
-    _emit(payload, args.format)
-    return 0
+    return payload, 0
 
 
-def _cmd_torsion(args) -> int:
+def _cmd_torsion(args) -> tuple:
     curve, model = elliptic.parse_curve_spec(args.curve)
     group, points = elliptic.torsion_subgroup(curve)
     payload = {
@@ -175,11 +167,10 @@ def _cmd_torsion(args) -> int:
     if model is not None:
         payload["lambda"] = model.lam
         payload["model"] = {"u": model.u, "shift": model.shift}
-    _emit(payload, args.format)
-    return 0
+    return payload, 0
 
 
-def _cmd_jmap(args) -> int:
+def _cmd_jmap(args) -> tuple:
     spec = args.spec.strip()
     if spec.startswith("lambda="):
         lam = elliptic.parse_spec_rational(spec, "lambda=")
@@ -195,11 +186,10 @@ def _cmd_jmap(args) -> int:
         raise elliptic.CurveSpecError(
             f"cannot parse jmap spec {spec!r}; expected lambda=<rational> or j=<rational>"
         )
-    _emit(payload, args.format)
-    return 0
+    return payload, 0
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args) -> tuple:
     curve, _model = elliptic.parse_curve_spec(args.curve)
     a = af_invariant.validate_incidence(exact_linalg.parse_matrix(args.matrix))
     primes = sorted(set(exact_linalg.parse_int_list(args.primes, "prime")))
@@ -224,8 +214,7 @@ def _cmd_zeta(args) -> int:
             payload.append(
                 {"prime": p, "error": type(exc).__name__, "message": str(exc)}
             )
-    _emit(payload, args.format)
-    return 0
+    return payload, 0
 
 
 def _conjecture_row(report: corpus.ConjectureReport) -> dict:
@@ -255,16 +244,15 @@ def _conjecture_row(report: corpus.ConjectureReport) -> dict:
     return row
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args) -> tuple:
     path = args.corpus or os.environ.get(CORPUS_ENV)
     if not path:
         raise corpus.CorpusError(
             f"no corpus file given and ${CORPUS_ENV} is not set"
         )
     reports = [corpus.run_entry(entry) for entry in corpus.load_corpus(path)]
-    _emit([_conjecture_row(r) for r in reports], args.format)
     failed = any(r.expected_match is False for r in reports)
-    return 1 if failed else 0
+    return [_conjecture_row(r) for r in reports], 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,9 +350,15 @@ def main(argv=None) -> int:
     ]
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+        payload, status = args.func(args)
+        out = _render(payload, args.format)
+    except ValueError as exc:  # every refusal; stdout is still untouched
         return _emit_error(exc, args.format)
+    # one write, outside the handler; what the locale cannot encode is
+    # backslash-escaped, as CPython does on stderr (JSON is ASCII already)
+    encoding = sys.stdout.encoding or "utf-8"
+    sys.stdout.write(out.encode(encoding, "backslashreplace").decode(encoding))
+    return status
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ class QuadraticIrrational(Record):
     def __post_init__(self):
         p, d, q = map(operator.index, (self.p_num, self.d_rad, self.q_den))
         if q == 0:
-            raise ZeroDivisionError("denominator must be nonzero")
+            raise ValueError("denominator must be nonzero")
         if d <= 0 or isqrt(d) ** 2 == d:
             raise NotIrrational(f"radicand {d} is not a positive non-square")
         if (d - p * p) % q != 0:

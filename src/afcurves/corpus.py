@@ -136,7 +136,7 @@ def run_entry(entry) -> ConjectureReport:
             verdicts=tuple(verdicts),
             expected_match=expected_match,
         )
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return ConjectureReport(entry, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -214,7 +214,7 @@ def load_corpus(path: str) -> list:
     for record in records:
         try:
             entries.append(_entry_from_mapping(record))
-        except (ValueError, ZeroDivisionError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError) as exc:
             label = str(record.get("label", "?")) if isinstance(record, dict) else "?"
             entries.append(InvalidEntry(label, f"{type(exc).__name__}: {exc}"))
     return entries

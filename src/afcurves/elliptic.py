@@ -338,8 +338,8 @@ def parse_spec_rational(spec: str, prefix: str) -> Fraction:
     """The rational after `prefix` in a spec such as `lambda=1/3` or `j=0`;
     text that is not a rational, or a zero denominator, is a CurveSpecError."""
     try:
-        return Fraction(spec[len(prefix) :].strip())
-    except (ValueError, ZeroDivisionError):
+        return to_fraction(spec[len(prefix) :].strip())
+    except ValueError:
         raise CurveSpecError(f"bad rational in {spec!r}") from None
 
 

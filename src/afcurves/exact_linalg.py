@@ -97,24 +97,29 @@ class Record:
 
 def to_fraction(value) -> Fraction:
     """Fraction(value) for an int, a Fraction or a `p/q` string; a float or
-    a bool raises TypeError rather than pass as its binary expansion or 0/1."""
+    a bool raises TypeError rather than pass as its binary expansion or 0/1,
+    and text that is not a rational, `1/0` included, raises ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (bool, float)):
         raise TypeError(
             f"{type(value).__name__} {value!r} is not an int, Fraction or 'p/q'"
         )
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:  # from 'p/0'; every refusal is a ValueError
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
-class IntMatrix:
+class IntMatrix(Record):
     """Dense square matrix of exact integers, immutable after construction.
 
     Entries must be integers (anything `operator.index` accepts); a float or
     Fraction raises TypeError instead of being truncated.
     """
 
-    __slots__ = ("n", "rows")
+    rows: tuple
+    n: int  # set from rows, not an argument
 
     def __init__(self, rows):
         rows = tuple(tuple(map(operator.index, row)) for row in rows)
@@ -126,9 +131,6 @@ class IntMatrix:
                 raise ValueError("matrix must be square")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -147,15 +149,6 @@ class IntMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.rows]})"
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:

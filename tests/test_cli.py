@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from afcurves import exact_linalg, zeta
+from afcurves import cli, exact_linalg, zeta
 from afcurves.cli import main
 
 BUNDLED = str(Path(__file__).resolve().parent.parent / "data" / "cm_corpus.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0"}  # Python's stdout is then ASCII
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +23,17 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     return code, json.loads(out) if out else None, err
+
+
+def run_child(*argv, **env):
+    """`python -m afcurves *argv` in a fresh interpreter, `env` added to the
+    environment; the stream encoding comes from the locale alone."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "afcurves", *argv],
+        env={**base, "PYTHONPATH": path, **env}, capture_output=True, check=False,
+    )
 
 
 class TestSnfCommand:
@@ -139,6 +155,11 @@ class TestCfCommand:
         code, out, err = run_cli(capsys, "cf", "sqrt(4)")
         assert code == 1
         assert "NotIrrational" in err
+
+    def test_zero_denominator_is_one_value_error_line(self, capsys):
+        assert run_cli(capsys, "cf", "(1+sqrt(2))/0") == (
+            1, "", "error: ValueError: denominator must be nonzero\n"
+        )
 
     def test_over_the_state_cap_is_one_error_line(self, capsys, wall_bound):
         with wall_bound(2):
@@ -421,14 +442,49 @@ class TestConjectureCommand:
         assert payload[1]["invariants"][0]["verdict"] == "match"
 
 
+class TestOneStdoutWrite:
+    """main writes stdout once, after the command and its rendering succeed;
+    what the stream's encoding cannot hold is backslash-escaped."""
+
+    @pytest.fixture
+    def cafe(self, tmp_path):
+        row = {"label": "café λ", "lambda": "-1", "matrix": "5,2;2,1", "poly": "-1,1"}
+        path = tmp_path / "corpus.json"
+        path.write_bytes(json.dumps([row], ensure_ascii=False).encode("utf-8"))
+        return str(path)
+
+    def test_text_report_under_the_c_locale_is_whole(self, cafe):
+        done = run_child("conjecture", cafe, **C_LOCALE)
+        assert (done.returncode, done.stderr) == (0, b"")
+        lines = done.stdout.decode("ascii").splitlines()
+        assert len(lines) == 11 and "  label: caf\\xe9 \\u03bb" in lines
+        utf8 = run_child("conjecture", cafe, PYTHONUTF8="1").stdout.decode("utf-8")
+        assert done.stdout.decode("ascii") == utf8.replace("café λ", "caf\\xe9 \\u03bb")
+
+    def test_json_report_is_the_same_bytes_under_the_c_locale(self, cafe):
+        done = run_child("conjecture", cafe, "--format", "json", **C_LOCALE)
+        assert (done.returncode, done.stderr) == (0, b"")
+        utf8 = run_child("conjecture", cafe, "--format", "json", PYTHONUTF8="1")
+        assert done.stdout == utf8.stdout
+
+    def test_a_rendering_refusal_leaves_stdout_empty(self, capsys, monkeypatch):
+        def refuse(value, text=False):
+            raise ValueError("cannot render")
+
+        monkeypatch.setattr(cli, "encode", refuse)
+        assert run_cli(capsys, "snf", "4,2;2,0") == (
+            1, "", "error: ValueError: cannot render\n"
+        )
+
+
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
 
 def test_json_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
     """Every golden argv reproduces its recorded JSON stdout, stderr and exit
     code, and in text mode (the same argv without `--format json`) its exit
-    code and stderr.  `{root}` stands for the repository root and `{corpus}`
-    for a file holding the case's inline `corpus` array."""
+    code, stdout and stderr.  `{root}` stands for the repository root and
+    `{corpus}` for a file holding the case's inline `corpus` array."""
     monkeypatch.delenv("AFCURVES_CORPUS", raising=False)
     root = str(Path(__file__).resolve().parent.parent)
     corpus_path = tmp_path / "corpus.json"
@@ -444,5 +500,6 @@ def test_json_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
         assert run_cli(capsys, *argv) == (
             case["code"], case["stdout"], case["stderr"]
         ), case["argv"]
-        code, _, err = run_cli(capsys, *text_argv)
-        assert (code, err) == (case["text_code"], case["text_stderr"]), case["argv"]
+        assert run_cli(capsys, *text_argv) == (
+            case["text_code"], case["text_stdout"], case["text_stderr"]
+        ), case["argv"]

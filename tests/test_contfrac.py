@@ -114,7 +114,7 @@ class TestQuadraticIrrational:
             QuadraticIrrational(0, -2, 1)
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="denominator must be nonzero"):
             QuadraticIrrational(0, 2, 0)
 
     def test_rejects_non_integers(self):

@@ -287,6 +287,19 @@ class TestLoadCorpus:
         assert bad == InvalidEntry("?", "CorpusError: entry must be an object, got int")
         assert run_entry(fine).verdicts[0].verdict == "match"
 
+    @pytest.mark.parametrize(
+        "row,error",
+        [
+            ({"lambda": "1/0", "matrix": "5,2;2,1"}, "ValueError: zero denominator in '1/0'"),
+            ({"lambda": "-1", "theta": "(1+sqrt(2))/0"},
+             "ValueError: denominator must be nonzero"),
+        ],
+    )
+    def test_zero_denominator_row_is_a_value_error(self, tmp_path, row, error):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([{"label": "zero", "poly": "-1,1", **row}]))
+        assert load_corpus(str(path)) == [InvalidEntry("zero", error)]
+
     def test_missing_file_is_corpus_error(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read corpus file"):
             load_corpus(str(tmp_path / "absent.json"))

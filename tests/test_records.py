@@ -1,4 +1,4 @@
-"""Value semantics of the 18 frozen record classes, and what a fresh
+"""Value semantics of the 19 frozen record classes, and what a fresh
 `import afcurves.cli` loads.
 
 Every record builds by position or keyword, keeps its class defaults and
@@ -36,9 +36,10 @@ ENTRY = CorpusEntry("e", Fraction(-1), None, QuadraticIrrational(1, 2, 1), None,
 FACTOR = CurveFactor((1, 0, 5), (1, -6, 5))
 PARAMS = OperatorParams(3, "good", None)
 
-# (class, field names in order, constructor arguments in order); CurveQ's
-# disc is a field that is computed, not passed
+# (class, field names in order, constructor arguments in order); IntMatrix's
+# n and CurveQ's disc are fields that are computed, not passed
 CASES = [
+    (IntMatrix, ("rows", "n"), (((2, 1), (1, 1)),)),
     (IntPolynomial, ("coeffs",), ((-1, 1),)),
     (SmithDecomposition, ("d", "p_left", "q_right"), ((1, 2), A, IntMatrix.identity(2))),
     (AbelianGroup, ("torsion", "free_rank"), ((2, 4), 1)),
@@ -71,7 +72,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 
 
 def test_the_table_covers_every_record_class():
-    assert len({cls for cls, _, _ in CASES}) == 18
+    assert len({cls for cls, _, _ in CASES}) == 19
 
 
 @pytest.mark.parametrize("cls,names,args", CASES, ids=IDS)
@@ -144,6 +145,13 @@ class TestDefaults:
         assert (r.j_invariant, r.curve, r.incidence, r.computed_torsion) == (None,) * 4
         assert (r.verdicts, r.expected_match, r.error) == ((), None, None)
         assert r == ConjectureReport(entry=ENTRY, verdicts=())
+
+    def test_matrix_n_is_not_an_argument(self):
+        assert A.n == IntMatrix(rows=A.rows).n == 2
+        with pytest.raises(TypeError):
+            IntMatrix(A.rows, 2)
+        with pytest.raises(TypeError):
+            IntMatrix(A.rows, n=2)
 
     def test_curve_disc_is_not_an_argument(self):
         assert CurveQ(-1, 0).disc == CurveQ(a=-1, b=0).disc == 64
