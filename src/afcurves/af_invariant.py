@@ -4,9 +4,10 @@ Given a nonnegative unimodular incidence matrix A (some power strictly
 positive) and an integer polynomial p with p(0) = +-1, the invariant is the
 finitely generated abelian group Z^n / p(A) Z^n, read off the Smith diagonal
 of p(A).  The diagonal comes from exact_linalg.smith_diagonal, which builds no
-transforms and checks prod(d) = |det p(A)| instead of a P, Q certificate.  The
-group is unchanged by GL_n(Z) conjugation of A, which the probe harness
-checks on random conjugates made by elementary moves on a copy of A (no B);
+transforms, reduces p(A) modulo |det p(A)| when that is nonzero, and checks
+prod(d) against det p(A) instead of a P, Q certificate.  The group is
+unchanged by GL_n(Z) conjugation of A, which the probe harness checks on
+random conjugates made by elementary moves on a copy of A (no B);
 each move is exact_linalg._move, the step random_glnz also builds B from.
 """
 
@@ -28,8 +29,9 @@ from .exact_linalg import (
     _move,
 )
 
-# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 11-14 s
-# at n = 32 (2.8-3.5 ms a trial) on CPython 3.11, 2 shared vCPUs.  One rule
+# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 13-16 s
+# at n = 32 and p = x - 1 (3.2-3.8 ms a trial) on CPython 3.11, 2 shared
+# vCPUs, for a primitive incidence matrix of a 32-cycle and 16 edges.  One rule
 # holds every n to that work: trials * max(n, 32)^3 <= _TRIAL_CAP * 32^3.
 _TRIAL_CAP = 4096
 

@@ -140,6 +140,8 @@ def parse_surd(text: str) -> QuadraticIrrational:
     m = _SURD_FULL.match(text)
     if m:
         p, sign, d, q = m.groups()
+        if int(q) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         if sign == "-":
             # (p - sqrt(d))/q == (-p + sqrt(d))/(-q)
             return QuadraticIrrational(-int(p), int(d), -int(q))

@@ -3,18 +3,25 @@ determinants, polynomial evaluation at a matrix, and a seeded GL_n(Z)
 generator of (B, B^-1) pairs for tests; _move is its elementary move step,
 and the invariance probe conjugates A in place with the same step.
 
-One reduction, _smith, gives the Smith form two ways; it reduces the leading
-n x n block of a list of rows, and whatever the rows carry beyond that block
-takes the same steps.  smith_diagonal passes the bare rows of M and returns
-the diagonal alone; it is what invariants read.  snf passes the bordered rows
-[M | I] followed by the rows of I, reads the transforms P from the border and
-Q from the trailing rows, and verifies the certificate P * M * Q = diag(d);
-the `snf` command and unimodular_inverse use it.
+snf gives the Smith form with its transforms.  Its reduction, _smith,
+reduces the leading n x n block of a list of rows, and whatever the rows
+carry beyond that block takes the same steps: snf passes the bordered rows
+[M | I] followed by the rows of I, reads P from the border and Q from the
+trailing rows, and verifies the certificate P * M * Q = diag(d).  The `snf`
+command and unimodular_inverse use it.
 
-Both routes check d by one rule against the Bareiss determinant of M: a
-Smith chain with prod(d) = |det M|, or ending in 0 when det M = 0.  When
-det M != 0 this proves P and Q unimodular (det P * det M * det Q = +-det M,
-so the integers det P, det Q are +-1); only a singular M has them taken.
+smith_diagonal gives the diagonal alone; it is what invariants read.  For
+D = |det M| != 0 it reduces M over Z/DZ (_smith_mod), where every entry
+stays below D: D * Z^n lies in M * Z^n, so Z^n / M Z^n is unchanged.  A
+singular M takes _smith on its bare rows.
+
+d is checked by one rule against the Bareiss determinant of M on every
+route: a Smith chain with prod(d) = |det M|, or ending in 0 when det M = 0.
+When det M != 0 this proves P and Q unimodular (det P * det M * det Q =
++-det M, so the integers det P, det Q are +-1); only a singular M has them
+taken.  Under the mod-D route every d_i divides D, so that rule cannot see
+a wrong D; smith_diagonal also holds det M mod a fixed prime, by elimination
+over F_q without the Bareiss value, to +-prod(d).
 
 trace_power gives tr(M^k) from x^k modulo the characteristic polynomial
 (Cayley-Hamilton), in O(n^2 log k) big-integer products; M^k is not formed.
@@ -294,14 +301,120 @@ def snf(m: IntMatrix) -> SmithDecomposition:
 def smith_diagonal(m: IntMatrix) -> tuple:
     """Smith diagonal of m, without the transforms P and Q.
 
-    The reduction of snf on the bare rows of m, so nothing beyond the n x n
-    block is carried.  The result is checked against an independent Bareiss
-    determinant by the rule verify uses.
+    D = |det m| comes first, by Bareiss.  When D != 0, D * Z^n lies in
+    m * Z^n (adj(m) * m = det(m) * I), so _smith_mod reads the diagonal off
+    m mod D with every entry below D; a singular m takes snf's reduction
+    _smith on its bare rows.  Two checks follow on either route.  d passes
+    the rule verify uses against the Bareiss value; the mod-D route makes
+    every d_i divide D, so that rule alone cannot see a wrong D.  And
+    det(m) mod the prime _CHECK_PRIME, by elimination over F_q with no call
+    to determinant, equals +-prod(d) mod q.
     """
-    d = _smith([list(row) for row in m.rows], m.n)
-    if not _smith_diagonal_matches(d, determinant(m)):
+    det = determinant(m)
+    rows = [list(row) for row in m.rows]
+    d = _smith_mod(rows, m.n, abs(det)) if det else _smith(rows, m.n)
+    r = prod(d) % _CHECK_PRIME
+    if not _smith_diagonal_matches(d, det) or _det_mod_q(m) not in (r, -r % _CHECK_PRIME):
         raise RuntimeError("Smith diagonal failed the prod(d) == |det(m)| check")
     return tuple(d)
+
+
+# the largest prime below 2^30: a residue is one digit of a CPython int
+_CHECK_PRIME = 2**30 - 35
+
+
+def _det_mod_q(m: IntMatrix) -> int:
+    """det(m) mod q = _CHECK_PRIME by Gaussian elimination over F_q."""
+    q = _CHECK_PRIME
+    a = [[x % q for x in row] for row in m.rows]
+    det = 1
+    while a:
+        i = next((i for i, row in enumerate(a) if row[0]), None)
+        if i is None:
+            return 0
+        det = det * (-1) ** i * _eliminate(a, i, 0, q) % q  # Laplace on column 0
+    return det
+
+
+def _eliminate(a, i, j, modulus) -> int:
+    """Pop row i and column j of the rows a, whose entry there is a unit mod
+    modulus; each other row takes one multiply-subtract of the pivot row
+    mod modulus, which clears its column-j entry, so a ends as the Schur
+    complement.  Returns the pivot entry."""
+    top = a.pop(i)
+    pivot = top.pop(j)
+    inv = pow(pivot, -1, modulus)
+    for r, row in enumerate(a):
+        f = row.pop(j) * inv % modulus
+        if f:
+            a[r] = [(x - f * y) % modulus for x, y in zip(row, top)]
+    return pivot
+
+
+def _smith_mod(a, n, modulus) -> list:
+    """Smith diagonal of the n x n rows a, given modulus = |det| != 0.
+
+    Works over Z/modulus Z.  A unit pivot, an entry 1 when there is one
+    (each row's multiplier is then its own entry), adds a 1 to the diagonal
+    and leaves its Schur complement (_eliminate); the pivot row needs no
+    column steps, since the column below it is clear.  Only when no entry
+    is a unit does _bezout_pivot clear a cross by row and column steps.
+    Each diagonal entry delta gives Z/gcd(delta, modulus), gcd(0, modulus)
+    being modulus; the gcds are folded into a divisibility chain at the end
+    by (x, y) -> (gcd, lcm).
+    """
+    if modulus == 1:
+        return [1] * n
+    a = [[x % modulus for x in row] for row in a]
+    d = []
+    while a:
+        unit = next(((i, row.index(1)) for i, row in enumerate(a) if 1 in row), None)
+        unit = unit or next(((i, j) for i, row in enumerate(a)
+                             for j, x in enumerate(row) if gcd(x, modulus) == 1), None)
+        if unit:
+            _eliminate(a, *unit, modulus)
+            d.append(1)
+            continue
+        nonzero = [(x, i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not nonzero:
+            d += [modulus] * len(a)
+            break
+        _, i, j = min(nonzero)
+        d.append(gcd(_bezout_pivot(a, i, j, modulus), modulus))
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = d[i], d[j]
+            if y % x:
+                g = gcd(x, y)
+                d[i], d[j] = g, x // g * y
+    return d
+
+
+def _bezout_pivot(a, i, j, modulus) -> int:
+    """Clear row i and column j of the rows a but for a[i][j], then pop both;
+    returns the pivot.  Unimodular 2 x 2 row steps mod modulus clear column
+    j; then a is transposed, which keeps its Smith form, and row i is cleared
+    the same way, until a pass leaves the other line clear.  A pair (x, y)
+    takes (u, v) with u*x + v*y = gcd, or (1, 0) when x | y, which leaves the
+    pivot line alone (a tie's swap would refill it forever); otherwise the
+    pivot falls to a proper divisor, so the refills end."""
+    while True:
+        for r, row in enumerate(a):
+            if r != i and row[j]:
+                x, y = a[i][j], row[j]
+                u, v = (1, 0) if y % x == 0 else _bezout(x, y)
+                g = u * x + v * y
+                top, xg, yg = a[i], x // g, y // g
+                a[i] = [(u * s + v * w) % modulus for s, w in zip(top, row)]
+                a[r] = [(xg * w - yg * s) % modulus for s, w in zip(top, row)]
+        if not any(x for c, x in enumerate(a[i]) if c != j):
+            break
+        a[:] = [list(col) for col in zip(*a)]
+        i, j = j, i
+    pivot = a.pop(i)[j]
+    for row in a:
+        del row[j]
+    return pivot
 
 
 def _smith(a, n) -> list:

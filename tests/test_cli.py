@@ -158,7 +158,7 @@ class TestCfCommand:
 
     def test_zero_denominator_is_one_value_error_line(self, capsys):
         assert run_cli(capsys, "cf", "(1+sqrt(2))/0") == (
-            1, "", "error: ValueError: denominator must be nonzero\n"
+            1, "", "error: ValueError: zero denominator in '(1+sqrt(2))/0'\n"
         )
 
     def test_over_the_state_cap_is_one_error_line(self, capsys, wall_bound):

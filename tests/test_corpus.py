@@ -292,7 +292,7 @@ class TestLoadCorpus:
         [
             ({"lambda": "1/0", "matrix": "5,2;2,1"}, "ValueError: zero denominator in '1/0'"),
             ({"lambda": "-1", "theta": "(1+sqrt(2))/0"},
-             "ValueError: denominator must be nonzero"),
+             "ValueError: zero denominator in '(1+sqrt(2))/0'"),
         ],
     )
     def test_zero_denominator_row_is_a_value_error(self, tmp_path, row, error):

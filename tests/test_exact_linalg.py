@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from afcurves import exact_linalg
 from afcurves.af_invariant import AbelianGroup, quotient_group
 from afcurves.exact_linalg import (
     IntMatrix,
@@ -141,6 +142,64 @@ class TestSnf:
         d = snf(pm).d
         assert smith_diagonal(pm) == d
         assert quotient_group(m, X2_MINUS_X_MINUS_1) == AbelianGroup.from_smith_diagonal(d)
+
+
+@st.composite
+def nonsingular_or_singular(draw):
+    """Square matrices with n <= 7, scaled by 1, 2 or 6 (scaled, no entry is
+    a unit mod the determinant); half of those with n >= 2 get a last row
+    that is a multiple of the first, so they are singular."""
+    m = draw(square_matrices(max_n=7, max_entry=30))
+    scale = draw(st.sampled_from([1, 2, 6]))
+    rows = [[scale * x for x in row] for row in m.rows]
+    if m.n > 1 and draw(st.booleans()):
+        k = draw(st.integers(-3, 3))
+        rows[-1] = [k * x for x in rows[0]]
+    return IntMatrix(rows)
+
+
+def _smith_unreached(a, n):
+    raise LookupError("_smith reached")
+
+
+class TestSmithDiagonalModDet:
+    """smith_diagonal reads a nonsingular M's diagonal off M mod |det M|;
+    snf keeps _smith and its P * M * Q certificate, so it is the oracle."""
+
+    @settings(max_examples=300)
+    @given(nonsingular_or_singular())
+    def test_matches_snf(self, m):
+        assert smith_diagonal(m) == snf(m).d
+
+    @pytest.mark.parametrize(
+        "rows,d",
+        [
+            ([[2, 1], [1, 1]], (1, 1)),  # D = 1
+            ([[3, 1], [1, 2]], (1, 5)),  # prime D
+            ([[1, 2, 0], [0, 4, 6], [6, 0, 9]], (1, 1, 108)),  # D = 2^2 * 3^3
+            ([[12, 6, 0], [6, 0, 18], [4, 10, 2]], (2, 6, 150)),  # D = 2^3 * 3^2 * 5^2
+            # 2I + N, N nilpotent with even entries: no entry is a unit mod 8
+            ([[2, 4, 0], [0, 2, 6], [0, 0, 2]], (2, 2, 2)),
+            ([[2, 0], [0, 4]], (2, 4)),  # diag(x, y) with x | y
+            # a tie x == y beside the pivot: a Bezout swap on it would hand
+            # the entry between the pivot's row and column forever
+            ([[2, 2], [0, 2]], (2, 2)),
+            ([[-7]], (7,)),  # n = 1
+            ([[1]], (1,)),
+        ],
+    )
+    def test_named_examples_take_the_mod_route(self, monkeypatch, wall_bound, rows, d):
+        m = IntMatrix(rows)
+        assert snf(m).d == d
+        monkeypatch.setattr(exact_linalg, "_smith", _smith_unreached)
+        with wall_bound(2):
+            assert smith_diagonal(m) == d
+
+    def test_only_a_singular_matrix_reaches_smith(self, monkeypatch):
+        monkeypatch.setattr(exact_linalg, "_smith", _smith_unreached)
+        assert smith_diagonal(_seeded_matrix(6, 6)) == (1, 1, 1, 1, 2, 158720)
+        with pytest.raises(LookupError, match="_smith reached"):
+            smith_diagonal(IntMatrix([[2, 4], [3, 6]]))
 
 
 def _seeded_matrix(n, seed):

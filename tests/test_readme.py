@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def readme_commands() -> list:
-    text = (ROOT / "README.md").read_text()
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     commands = []
     for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
         for line in block.splitlines():

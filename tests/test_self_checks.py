@@ -70,6 +70,9 @@ def test_verify_takes_transform_determinants_only_for_singular_m(monkeypatch):
         ([[4, 2], [2, 0]], 8),  # det -4: the product no longer matches
         ([[4, 2], [2, 0]], 0),  # a zero det asks for a trailing 0
         ([[2, 4], [3, 6]], 5),  # singular, but a nonzero det is claimed
+        # det 6: d = (1, 2) is read off mod 2 and matches the wrong value
+        # exactly; only det mod q, taken without `determinant`, sees it
+        ([[1, 0], [0, 6]], 2),
     ],
 )
 def test_smith_diagonal_determinant_check_raises(monkeypatch, rows, wrong_det):
