@@ -4,11 +4,13 @@ Given a nonnegative unimodular incidence matrix A (some power strictly
 positive) and an integer polynomial p with p(0) = +-1, the invariant is the
 finitely generated abelian group Z^n / p(A) Z^n, read off the Smith diagonal
 of p(A).  The diagonal comes from exact_linalg.smith_diagonal, which builds no
-transforms, reduces p(A) modulo |det p(A)| when that is nonzero, and checks
-prod(d) against det p(A) instead of a P, Q certificate.  The group is
-unchanged by GL_n(Z) conjugation of A, which the probe harness checks on
-random conjugates made by elementary moves on a copy of A (no B);
-each move is exact_linalg._move, the step random_glnz also builds B from.
+transforms, reduces p(A) modulo a divisor h of |det p(A)| when that is
+nonzero (h = gcd of |det p(A)| and four (n-1)-minors, 1 for most dense p(A)),
+and checks prod(d) against det p(A) instead of a P, Q certificate.  The group
+is unchanged by GL_n(Z) conjugation of A, which the probe harness checks on
+random conjugates made by elementary moves on a copy of A (no B), one 64-bit
+draw a move; each move is exact_linalg._move, the step random_glnz also
+builds B from.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .exact_linalg import (
     _move,
 )
 
-# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 13-16 s
-# at n = 32 and p = x - 1 (3.2-3.8 ms a trial) on CPython 3.11, 2 shared
+# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 11-13 s
+# at n = 32 and p = x - 1 (2.6-3.2 ms a trial) on CPython 3.11, 2 shared
 # vCPUs, for a primitive incidence matrix of a 32-cycle and 16 edges.  One rule
 # holds every n to that work: trials * max(n, 32)^3 <= _TRIAL_CAP * 32^3.
 _TRIAL_CAP = 4096
@@ -187,20 +189,22 @@ class ProbeReport(Record):
 
 
 def _conjugate(m: IntMatrix, rng: random.Random) -> IntMatrix:
-    """B m B^-1, B a product of 20 elementary moves (exact_linalg._move) drawn
-    from rng; 1 x 1 only negates."""
+    """B m B^-1, B a product of 20 elementary moves (exact_linalg._move).
+
+    Each move is one rng.getrandbits(64), split by divmod into op (3), i (n),
+    j (n - 1, shifted past i) and k (_MOVE_FACTORS[r % 6]); the tuple is r
+    mod 18 n (n - 1), so its bias is below 18 n^2 / 2^64.  1 x 1 only negates.
+    """
     n = m.n
     c = [list(row) for row in m.rows]
     for _ in range(20):
-        op = rng.randrange(3) if n > 1 else 1
-        i = rng.randrange(n)
-        j = k = 0
-        if op != 1:
-            j = rng.randrange(n - 1)
-            j += j >= i
-            if op == 2:
-                k = rng.choice(_MOVE_FACTORS)
-        _move(c, c, op, i, j, k)
+        r, op = divmod(rng.getrandbits(64), 3)
+        r, i = divmod(r, n)
+        if n == 1:
+            _move(c, c, 1, i, 0, 0)
+            continue
+        r, j = divmod(r, n - 1)
+        _move(c, c, op, i, j + (j >= i), _MOVE_FACTORS[r % 6])
     return IntMatrix(c)
 
 

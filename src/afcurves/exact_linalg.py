@@ -11,17 +11,21 @@ trailing rows, and verifies the certificate P * M * Q = diag(d).  The `snf`
 command and unimodular_inverse use it.
 
 smith_diagonal gives the diagonal alone; it is what invariants read.  For
-D = |det M| != 0 it reduces M over Z/DZ (_smith_mod), where every entry
-stays below D: D * Z^n lies in M * Z^n, so Z^n / M Z^n is unchanged.  A
+D = |det M| != 0 it needs only d_1..d_(n-1): their product is D_(n-1), the
+gcd of the (n-1)-minors, and Bareiss's last 2 x 2 block holds four such
+minors (Sylvester's identity), whose gcd g _bareiss returns beside det M.
+So every d_i with i < n divides h = gcd(g, D), _smith_mod reads them off M
+over Z/hZ, where every entry stays below h, and d_n = D / (d_1 ... d_(n-1)).
+h divides D and is 1 for most dense M, which then take no elimination.  A
 singular M takes _smith on its bare rows.
 
 d is checked by one rule against the Bareiss determinant of M on every
 route: a Smith chain with prod(d) = |det M|, or ending in 0 when det M = 0.
 When det M != 0 this proves P and Q unimodular (det P * det M * det Q =
 +-det M, so the integers det P, det Q are +-1); only a singular M has them
-taken.  Under the mod-D route every d_i divides D, so that rule cannot see
-a wrong D; smith_diagonal also holds det M mod a fixed prime, by elimination
-over F_q without the Bareiss value, to +-prod(d).
+taken.  The mod-h route sets d_n from D, so that rule cannot see a wrong D;
+smith_diagonal also holds det M mod a fixed prime, by elimination over F_q
+without the Bareiss value, to +-prod(d).
 
 trace_power gives tr(M^k) from x^k modulo the characteristic polynomial
 (Cayley-Hamilton), in O(n^2 log k) big-integer products; M^k is not formed.
@@ -162,7 +166,7 @@ class IntMatrix(Record):
             raise ValueError("dimension mismatch")
         ot = list(zip(*other.rows))
         return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows]
+            [[sum(map(operator.mul, row, col)) for col in ot] for row in self.rows]
         )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -301,18 +305,22 @@ def snf(m: IntMatrix) -> SmithDecomposition:
 def smith_diagonal(m: IntMatrix) -> tuple:
     """Smith diagonal of m, without the transforms P and Q.
 
-    D = |det m| comes first, by Bareiss.  When D != 0, D * Z^n lies in
-    m * Z^n (adj(m) * m = det(m) * I), so _smith_mod reads the diagonal off
-    m mod D with every entry below D; a singular m takes snf's reduction
-    _smith on its bare rows.  Two checks follow on either route.  d passes
-    the rule verify uses against the Bareiss value; the mod-D route makes
-    every d_i divide D, so that rule alone cannot see a wrong D.  And
-    det(m) mod the prime _CHECK_PRIME, by elimination over F_q with no call
-    to determinant, equals +-prod(d) mod q.
+    D = |det m| and g, the gcd of four (n-1)-minors, come first, by Bareiss.
+    When D != 0, d_1 ... d_(n-1) = D_(n-1) divides g and D, so each d_i with
+    i < n divides h = gcd(g, D) and _smith_mod at modulus h reads it off as
+    gcd(d_i, h) = d_i; d_n is D over their product.  A singular m takes
+    snf's reduction _smith on its bare rows.  Two checks follow on either
+    route.  d passes the rule verify uses against the Bareiss value; the
+    mod-h route sets d_n from D, so that rule alone cannot see a wrong D.
+    And det(m) mod the prime _CHECK_PRIME, by elimination over F_q with no
+    call to _bareiss, equals +-prod(d) mod q.
     """
-    det = determinant(m)
-    rows = [list(row) for row in m.rows]
-    d = _smith_mod(rows, m.n, abs(det)) if det else _smith(rows, m.n)
+    det, g = _bareiss(m)
+    if det:
+        d = _smith_mod(m.rows, m.n, gcd(g, det))[:-1]
+        d.append(abs(det) // prod(d))
+    else:
+        d = _smith([list(row) for row in m.rows], m.n)
     r = prod(d) % _CHECK_PRIME
     if not _smith_diagonal_matches(d, det) or _det_mod_q(m) not in (r, -r % _CHECK_PRIME):
         raise RuntimeError("Smith diagonal failed the prod(d) == |det(m)| check")
@@ -352,13 +360,15 @@ def _eliminate(a, i, j, modulus) -> int:
 
 
 def _smith_mod(a, n, modulus) -> list:
-    """Smith diagonal of the n x n rows a, given modulus = |det| != 0.
+    """Smith chain of the n x n rows a over Z/modulus Z, modulus >= 1: the
+    chain of gcd(d_i, modulus) for the Smith diagonal d of a over Z.
 
-    Works over Z/modulus Z.  A unit pivot, an entry 1 when there is one
-    (each row's multiplier is then its own entry), adds a 1 to the diagonal
-    and leaves its Schur complement (_eliminate); the pivot row needs no
-    column steps, since the column below it is clear.  Only when no entry
-    is a unit does _bezout_pivot clear a cross by row and column steps.
+    Z^n / (a Z^n + modulus Z^n) is the sum of the Z/gcd(d_i, modulus), and
+    the steps below keep that quotient.  A unit pivot, an entry 1 when there
+    is one (each row's multiplier is then its own entry), adds a 1 to the
+    diagonal and leaves its Schur complement (_eliminate); the pivot row
+    needs no column steps, since the column below it is clear.  Only when no
+    entry is a unit does _bezout_pivot clear a cross by row and column steps.
     Each diagonal entry delta gives Z/gcd(delta, modulus), gcd(0, modulus)
     being modulus; the gcds are folded into a divisibility chain at the end
     by (x, y) -> (gcd, lcm).
@@ -509,11 +519,26 @@ def _bezout(x: int, y: int):
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
+    return _bareiss(m)[0]
+
+
+def _bareiss(m: IntMatrix) -> tuple:
+    """(det m, g) by fraction-free (Bareiss) elimination.
+
+    Before step k every entry of the block a[k:][k:] is a (k+1)-minor of m
+    up to sign (Sylvester's identity; row swaps change only signs), so g,
+    the gcd of the last 2 x 2 block before the last step, is a multiple of
+    D_(n-1), the gcd of all (n-1)-minors.  g is 1 for n = 1, and 0 when a
+    zero column ends the elimination early (det m = 0).
+    """
     n = m.n
     a = [list(row) for row in m.rows]
     sign = 1
     prev = 1
+    g = 1
     for k in range(n - 1):
+        if k == n - 2:
+            g = gcd(a[k][k], a[k][k + 1], a[k + 1][k], a[k + 1][k + 1])
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
@@ -521,13 +546,13 @@ def determinant(m: IntMatrix) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1], g
 
 
 def is_unimodular(m: IntMatrix) -> bool:

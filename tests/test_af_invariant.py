@@ -346,21 +346,25 @@ def _replayed_b(n, rng):
     b = [[int(i == j) for j in range(n)] for i in range(n)]
     inv = [row[:] for row in b]
     for _ in range(20):
-        op = rng.randrange(3) if n > 1 else 1
-        i = rng.randrange(n)
+        # one 64-bit draw a move, read as the digits op (3), i (n), j (n - 1), k
+        r = rng.getrandbits(64)
+        op = r % 3 if n > 1 else 1
+        r //= 3
+        i = r % n
         if op == 1:
             b[i] = [-x for x in b[i]]
             for row in inv:
                 row[i] = -row[i]
             continue
-        j = rng.randrange(n - 1)
+        r //= n
+        j = r % (n - 1)
         j += j >= i
         if op == 0:
             b[i], b[j] = b[j], b[i]
             for row in inv:
                 row[i], row[j] = row[j], row[i]
         else:
-            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            k = (-3, -2, -1, 1, 2, 3)[r // (n - 1) % 6]
             b[i] = [x + k * y for x, y in zip(b[i], b[j])]
             for row in inv:
                 row[j] -= k * row[i]

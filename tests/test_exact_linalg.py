@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -162,9 +163,27 @@ def _smith_unreached(a, n):
     raise LookupError("_smith reached")
 
 
+@st.composite
+def swap_forcing(draw):
+    """Square matrices with n <= 5; half of those with n >= 2 have a leading
+    (k+1)-minor that vanishes (a[0][0] = 0, or row k a multiple of row 0 in
+    its first k + 1 entries), so Bareiss meets a zero pivot and swaps rows."""
+    m = draw(square_matrices(max_n=5, max_entry=9))
+    rows = [list(row) for row in m.rows]
+    if m.n > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, m.n - 2))
+        if k == 0:
+            rows[0][0] = 0
+        else:
+            c = draw(st.integers(-2, 2))
+            rows[k][: k + 1] = [c * x for x in rows[0][: k + 1]]
+    return IntMatrix(rows)
+
+
 class TestSmithDiagonalModDet:
-    """smith_diagonal reads a nonsingular M's diagonal off M mod |det M|;
-    snf keeps _smith and its P * M * Q certificate, so it is the oracle."""
+    """smith_diagonal reads a nonsingular M's d_1 .. d_(n-1) off M mod h, a
+    divisor of |det M| that they all divide, and sets d_n from |det M|; snf
+    keeps _smith and its P * M * Q certificate, so it is the oracle."""
 
     @settings(max_examples=300)
     @given(nonsingular_or_singular())
@@ -181,9 +200,7 @@ class TestSmithDiagonalModDet:
             # 2I + N, N nilpotent with even entries: no entry is a unit mod 8
             ([[2, 4, 0], [0, 2, 6], [0, 0, 2]], (2, 2, 2)),
             ([[2, 0], [0, 4]], (2, 4)),  # diag(x, y) with x | y
-            # a tie x == y beside the pivot: a Bezout swap on it would hand
-            # the entry between the pivot's row and column forever
-            ([[2, 2], [0, 2]], (2, 2)),
+            ([[2, 2], [0, 2]], (2, 2)),  # mod h = 2 every entry is 0
             ([[-7]], (7,)),  # n = 1
             ([[1]], (1,)),
         ],
@@ -194,6 +211,55 @@ class TestSmithDiagonalModDet:
         monkeypatch.setattr(exact_linalg, "_smith", _smith_unreached)
         with wall_bound(2):
             assert smith_diagonal(m) == d
+
+    def test_smith_mod_tie_keeps_the_pivot_line(self, wall_bound):
+        # mod 4 no entry is a unit, so _bezout_pivot runs and meets a tie
+        # x == y beside the pivot: a Bezout swap on it would hand the entry
+        # between the pivot's row and column forever
+        with wall_bound(2):
+            assert exact_linalg._smith_mod([[2, 2], [0, 2]], 2, 4) == [2, 2]
+
+    @settings(max_examples=150)
+    @given(nonsingular_or_singular(), st.integers(1, 400))
+    def test_smith_mod_at_any_modulus_gives_gcds(self, m, modulus):
+        rows = [list(row) for row in m.rows]
+        expected = [gcd(x, modulus) for x in snf(m).d]
+        assert exact_linalg._smith_mod(rows, m.n, modulus) == expected
+
+    @settings(max_examples=300)
+    @given(swap_forcing())
+    @example(IntMatrix([[0, 1, 2], [1, 2, 3], [2, 3, 5]]))  # swap at step 0
+    @example(IntMatrix([[1, 2, 3], [2, 4, 1], [3, 1, 2]]))  # swap at step 1
+    @example(IntMatrix([[1, 2, 3, 1], [2, 4, 6, 5], [1, 1, 2, 3], [0, 2, 1, 1]]))
+    def test_bareiss_g_is_a_multiple_of_the_last_divisor_but_one(self, m):
+        det, g = exact_linalg._bareiss(m)
+        assert det == determinant(m)
+        last_but_one = determinantal_divisors(m)[-2] if m.n > 1 else 1
+        if last_but_one:
+            assert g % last_but_one == 0
+            assert det == 0 or g != 0
+        else:
+            assert g == 0
+
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            (1, 2, 6),
+            (3, 3, 9),
+            (2, 2, 2, 4),
+            (1, 1, 4, 4, 12),
+            (1, 1, 1, 1, 2, 2, 10, 30),
+        ],
+    )
+    def test_non_cyclic_cokernels(self, monkeypatch, chain):
+        # U diag(chain) V with d_(n-1) > 1, so h > 1 and the reduction runs
+        n = len(chain)
+        u, _ = random_glnz(n, steps=30, seed=n)
+        v, _ = random_glnz(n, steps=30, seed=n + 100)
+        m = (u @ IntMatrix.diagonal(chain)) @ v
+        assert snf(m).d == chain
+        monkeypatch.setattr(exact_linalg, "_smith", _smith_unreached)
+        assert smith_diagonal(m) == chain
 
     def test_only_a_singular_matrix_reaches_smith(self, monkeypatch):
         monkeypatch.setattr(exact_linalg, "_smith", _smith_unreached)

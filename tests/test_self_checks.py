@@ -67,16 +67,19 @@ def test_verify_takes_transform_determinants_only_for_singular_m(monkeypatch):
 @pytest.mark.parametrize(
     "rows,wrong_det",
     [
-        ([[4, 2], [2, 0]], 8),  # det -4: the product no longer matches
+        # det -4: g = 2, so d = (2, 8 / 2) matches 8; only det mod q sees it
+        ([[4, 2], [2, 0]], 8),
         ([[4, 2], [2, 0]], 0),  # a zero det asks for a trailing 0
         ([[2, 4], [3, 6]], 5),  # singular, but a nonzero det is claimed
-        # det 6: d = (1, 2) is read off mod 2 and matches the wrong value
-        # exactly; only det mod q, taken without `determinant`, sees it
+        # det 6: g = 1, so d = (1, 2) is set from the wrong value and matches
+        # it exactly; only det mod q, taken without _bareiss, sees it
         ([[1, 0], [0, 6]], 2),
     ],
 )
 def test_smith_diagonal_determinant_check_raises(monkeypatch, rows, wrong_det):
-    monkeypatch.setattr(exact_linalg, "determinant", lambda m: wrong_det)
+    # the wrong det comes with the true gcd g of the minors
+    true_bareiss = exact_linalg._bareiss
+    monkeypatch.setattr(exact_linalg, "_bareiss", lambda m: (wrong_det, true_bareiss(m)[1]))
     with pytest.raises(RuntimeError, match="prod\\(d\\) == \\|det"):
         exact_linalg.smith_diagonal(exact_linalg.IntMatrix(rows))
 
