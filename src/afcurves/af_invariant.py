@@ -9,8 +9,11 @@ nonzero (h = gcd of |det p(A)| and four (n-1)-minors, 1 for most dense p(A)),
 and checks prod(d) against det p(A) instead of a P, Q certificate.  The group
 is unchanged by GL_n(Z) conjugation of A, which the probe harness checks on
 random conjugates made by elementary moves on a copy of A (no B), one 64-bit
-draw a move; each move is exact_linalg._move, the step random_glnz also
-builds B from.
+draw a move, read off a table of moves built once a probe; each move is
+exact_linalg._move, the step random_glnz also builds B from.  A trial stays
+on plain lists of rows and builds no record: it compares the Smith diagonal
+of p(A'), with every check smith_diagonal makes, as a tuple with the base
+diagonal, which is group equality because the Smith form is canonical.
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ from .exact_linalg import (
     smith_diagonal,
     _MOVE_FACTORS,
     _move,
+    _poly_eval_rows,
+    _smith_diagonal,
 )
 
-# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 11-13 s
-# at n = 32 and p = x - 1 (2.6-3.2 ms a trial) on CPython 3.11, 2 shared
+# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 7-13 s
+# at n = 32 and p = x - 1 (1.7-3.1 ms a trial) on CPython 3.11, 2 shared
 # vCPUs, for a primitive incidence matrix of a 32-cycle and 16 edges.  One rule
 # holds every n to that work: trials * max(n, 32)^3 <= _TRIAL_CAP * 32^3.
 _TRIAL_CAP = 4096
@@ -188,24 +193,40 @@ class ProbeReport(Record):
     seed: int
 
 
-def _conjugate(m: IntMatrix, rng: random.Random) -> IntMatrix:
-    """B m B^-1, B a product of 20 elementary moves (exact_linalg._move).
+def _move_table(n: int) -> tuple:
+    """Every move (op, i, j, k) of _move on n x n rows, at the index whose
+    mixed-radix digits, op (3) fastest, then i (n), j (n - 1, shifted past
+    i) and k's place in _MOVE_FACTORS (6), name it: 18 n (n - 1) moves.  At
+    n = 1 the one move negates."""
+    if n == 1:
+        return ((1, 0, 0, 0),)
+    return tuple(
+        (op, i, j + (j >= i), k)
+        for k in _MOVE_FACTORS
+        for j in range(n - 1)
+        for i in range(n)
+        for op in range(3)
+    )
 
-    Each move is one rng.getrandbits(64), split by divmod into op (3), i (n),
-    j (n - 1, shifted past i) and k (_MOVE_FACTORS[r % 6]); the tuple is r
-    mod 18 n (n - 1), so its bias is below 18 n^2 / 2^64.  1 x 1 only negates.
+
+def _conjugate_rows(rows, rng: random.Random, table: tuple) -> list:
+    """B m B^-1 as a new list of rows, for the rows of m and table =
+    _move_table(n); B is a product of 20 elementary moves (exact_linalg._move).
+
+    Each move is one rng.getrandbits(64), r, read as table[r % len(table)]:
+    the digits op, i, j, k of r taken by divmod, so its bias is below
+    18 n^2 / 2^64.
     """
-    n = m.n
-    c = [list(row) for row in m.rows]
-    for _ in range(20):
-        r, op = divmod(rng.getrandbits(64), 3)
-        r, i = divmod(r, n)
-        if n == 1:
-            _move(c, c, 1, i, 0, 0)
-            continue
-        r, j = divmod(r, n - 1)
-        _move(c, c, op, i, j + (j >= i), _MOVE_FACTORS[r % 6])
-    return IntMatrix(c)
+    c = [list(row) for row in rows]
+    size, draw = len(table), rng.getrandbits
+    for op, i, j, k in [table[draw(64) % size] for _ in range(20)]:
+        _move(c, c, op, i, j, k)
+    return c
+
+
+def _conjugate(m: IntMatrix, rng: random.Random) -> IntMatrix:
+    """_conjugate_rows on m's rows, as an IntMatrix."""
+    return IntMatrix(_conjugate_rows(m.rows, rng, _move_table(m.n)))
 
 
 def invariance_probe(
@@ -214,8 +235,12 @@ def invariance_probe(
     """Check Z^n/p(A')Z^n = Z^n/p(A)Z^n over random conjugates A' = B A B^-1.
 
     Each conjugate is a copy of A after 20 random elementary moves, all drawn
-    from one seeded stream (_conjugate).  It may have negative entries; the
-    quotient group is still defined and must match.  The cap charges a trial
+    from one seeded stream (_conjugate_rows).  It may have negative entries;
+    the quotient group is still defined and must match.  quotient_group(A, p)
+    runs first, so a bad p raises before any trial; a trial then compares
+    the Smith diagonal of p(A') on plain rows with A's, read back off the
+    base group (its ones, its torsion, then a 0 per free Z), and a trial
+    whose diagonal differs is a failure.  The cap charges a trial
     max(n, 32)^3: trials * max(n, 32)^3 over _TRIAL_CAP * 32^3 raises
     BudgetExceeded before any work.
     """
@@ -227,9 +252,13 @@ def invariance_probe(
             f"may not exceed {_TRIAL_CAP} * 32^3"
         )
     base = quotient_group(a.m, p)
+    ones = a.n - len(base.torsion) - base.free_rank
+    want = (1,) * ones + base.torsion + (0,) * base.free_rank
+    rows, coeffs, table = a.m.rows, p.coeffs, _move_table(a.n)
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
-        if quotient_group(_conjugate(a.m, rng), p) != base:
+        c = _conjugate_rows(rows, rng, table)
+        if _smith_diagonal(_poly_eval_rows(coeffs, c)) != want:
             failures += 1
     return ProbeReport(a.m, p, trials, failures, base, seed)

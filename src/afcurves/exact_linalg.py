@@ -17,7 +17,10 @@ minors (Sylvester's identity), whose gcd g _bareiss returns beside det M.
 So every d_i with i < n divides h = gcd(g, D), _smith_mod reads them off M
 over Z/hZ, where every entry stays below h, and d_n = D / (d_1 ... d_(n-1)).
 h divides D and is 1 for most dense M, which then take no elimination.  A
-singular M takes _smith on its bare rows.
+singular M takes _smith on its bare rows.  smith_diagonal, mat_poly_eval and
+IntMatrix @ wrap row-level bodies on plain lists of rows, _smith_diagonal,
+_poly_eval_rows and _matmul_rows; the invariance probe calls those directly,
+so its trials build no records.
 
 d is checked by one rule against the Bareiss determinant of M on every
 route: a Smith chain with prod(d) = |det M|, or ending in 0 when det M = 0.
@@ -164,10 +167,7 @@ class IntMatrix(Record):
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        ot = list(zip(*other.rows))
-        return IntMatrix(
-            [[sum(map(operator.mul, row, col)) for col in ot] for row in self.rows]
-        )
+        return IntMatrix(_matmul_rows(self.rows, other.rows))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
@@ -303,7 +303,8 @@ def snf(m: IntMatrix) -> SmithDecomposition:
 
 
 def smith_diagonal(m: IntMatrix) -> tuple:
-    """Smith diagonal of m, without the transforms P and Q.
+    """Smith diagonal of m, without the transforms P and Q (_smith_diagonal
+    on m's rows).
 
     D = |det m| and g, the gcd of four (n-1)-minors, come first, by Bareiss.
     When D != 0, d_1 ... d_(n-1) = D_(n-1) divides g and D, so each d_i with
@@ -315,14 +316,21 @@ def smith_diagonal(m: IntMatrix) -> tuple:
     And det(m) mod the prime _CHECK_PRIME, by elimination over F_q with no
     call to _bareiss, equals +-prod(d) mod q.
     """
-    det, g = _bareiss(m)
+    return _smith_diagonal(m.rows)
+
+
+def _smith_diagonal(rows) -> tuple:
+    """smith_diagonal of the square rows, which are read, not changed; the
+    invariance probe calls it on plain lists."""
+    n = len(rows)
+    det, g = _bareiss(rows)
     if det:
-        d = _smith_mod(m.rows, m.n, gcd(g, det))[:-1]
+        d = _smith_mod(rows, n, gcd(g, det))[:-1]
         d.append(abs(det) // prod(d))
     else:
-        d = _smith([list(row) for row in m.rows], m.n)
+        d = _smith([list(row) for row in rows], n)
     r = prod(d) % _CHECK_PRIME
-    if not _smith_diagonal_matches(d, det) or _det_mod_q(m) not in (r, -r % _CHECK_PRIME):
+    if not _smith_diagonal_matches(d, det) or _det_mod_q(rows) not in (r, -r % _CHECK_PRIME):
         raise RuntimeError("Smith diagonal failed the prod(d) == |det(m)| check")
     return tuple(d)
 
@@ -331,10 +339,11 @@ def smith_diagonal(m: IntMatrix) -> tuple:
 _CHECK_PRIME = 2**30 - 35
 
 
-def _det_mod_q(m: IntMatrix) -> int:
-    """det(m) mod q = _CHECK_PRIME by Gaussian elimination over F_q."""
+def _det_mod_q(rows) -> int:
+    """det mod q = _CHECK_PRIME of the square rows, by Gaussian elimination
+    over F_q."""
     q = _CHECK_PRIME
-    a = [[x % q for x in row] for row in m.rows]
+    a = [[x % q for x in row] for row in rows]
     det = 1
     while a:
         i = next((i for i, row in enumerate(a) if row[0]), None)
@@ -519,11 +528,12 @@ def _bezout(x: int, y: int):
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    return _bareiss(m)[0]
+    return _bareiss(m.rows)[0]
 
 
-def _bareiss(m: IntMatrix) -> tuple:
-    """(det m, g) by fraction-free (Bareiss) elimination.
+def _bareiss(rows) -> tuple:
+    """(det m, g) for the matrix m with these square rows, by fraction-free
+    (Bareiss) elimination on a copy.
 
     Before step k every entry of the block a[k:][k:] is a (k+1)-minor of m
     up to sign (Sylvester's identity; row swaps change only signs), so g,
@@ -531,8 +541,8 @@ def _bareiss(m: IntMatrix) -> tuple:
     D_(n-1), the gcd of all (n-1)-minors.  g is 1 for n = 1, and 0 when a
     zero column ends the elimination early (det m = 0).
     """
-    n = m.n
-    a = [list(row) for row in m.rows]
+    n = len(rows)
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     g = 1
@@ -609,16 +619,31 @@ def trace_power(m: IntMatrix, k: int) -> int:
 
 
 def mat_poly_eval(p: IntPolynomial, m: IntMatrix) -> IntMatrix:
-    """Horner evaluation p(m) from p_d * m + p_(d-1) * I, so degree d takes
+    """p(m) by Horner's rule (_poly_eval_rows on m's rows): degree d takes
     d - 1 matrix products; the constant term contributes p(0) * I."""
-    c = p.coeffs
+    return IntMatrix(_poly_eval_rows(p.coeffs, m.rows))
+
+
+def _poly_eval_rows(c, rows) -> list:
+    """p(m) as a list of rows, for the coefficients c of p (constant first)
+    and the square rows of m: Horner's rule from p_d * m + p_(d-1) * I, each
+    later step one product by m and p_k added on the diagonal."""
+    n = len(rows)
     if len(c) < 2:
-        return IntMatrix.diagonal([p.constant_term] * m.n)
-    acc = IntMatrix([[c[-1] * x + c[-2] * (i == j) for j, x in enumerate(row)]
-                     for i, row in enumerate(m.rows)])
+        return [[c[0] if c and i == j else 0 for j in range(n)] for i in range(n)]
+    acc = [[c[-1] * x + c[-2] * (i == j) for j, x in enumerate(row)]
+           for i, row in enumerate(rows)]
     for coeff in reversed(c[:-2]):
-        acc = acc @ m + IntMatrix.diagonal([coeff] * m.n)
+        acc = _matmul_rows(acc, rows)
+        for i in range(n):
+            acc[i][i] += coeff
     return acc
+
+
+def _matmul_rows(a, b) -> list:
+    """The product of the square rows a and b, as a list of rows."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afcurves import af_invariant
+from afcurves import af_invariant, exact_linalg
 from afcurves.af_invariant import (
     AbelianGroup,
     BadConstantTerm,
@@ -26,6 +26,8 @@ from afcurves.exact_linalg import (
     mat_pow,
     random_glnz,
     smith_diagonal,
+    _MOVE_FACTORS,
+    _poly_eval_rows,
 )
 
 A_STD = IntMatrix([[5, 2], [2, 1]])
@@ -308,7 +310,12 @@ class TestInvarianceProbe:
             calls.append(m)
             return AbelianGroup((2, 2))
 
+        def counting_diagonal(rows):
+            calls.append(rows)
+            return (2, 2)
+
         monkeypatch.setattr(af_invariant, "quotient_group", counting)
+        monkeypatch.setattr(af_invariant, "_smith_diagonal", counting_diagonal)
         a = validate_incidence(A_STD)
         cap = af_invariant._TRIAL_CAP
         assert invariance_probe(a, X_MINUS_1, trials=cap).trials == cap
@@ -328,7 +335,12 @@ class TestInvarianceProbe:
             calls.append(m)
             return AbelianGroup(())
 
+        def counting_diagonal(rows):
+            calls.append(rows)
+            return (1,) * n
+
         monkeypatch.setattr(af_invariant, "quotient_group", counting)
+        monkeypatch.setattr(af_invariant, "_smith_diagonal", counting_diagonal)
         lower = IntMatrix([[int(j in (i - 1, i)) for j in range(n)] for i in range(n)])
         upper = IntMatrix([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
         a = validate_incidence(lower @ upper)  # tridiagonal, det 1
@@ -337,6 +349,39 @@ class TestInvarianceProbe:
         assert calls == []
         assert invariance_probe(a, X_MINUS_1, trials=admitted).trials == admitted
         assert len(calls) == admitted + 1  # the base group, then one per trial
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    def test_a_trial_diagonal_unlike_the_base_is_a_failure(self, monkeypatch, every):
+        # (1, 4) is a Smith chain of the base's order 4, but Z_4 is not Z_2 + Z_2
+        true_diagonal = af_invariant._smith_diagonal
+        trials = []
+
+        def wrong_every_kth(rows):
+            trials.append(rows)
+            d = true_diagonal(rows)
+            return (1, 4) if len(trials) % every == 0 else d
+
+        monkeypatch.setattr(af_invariant, "_smith_diagonal", wrong_every_kth)
+        report = invariance_probe(validate_incidence(A_STD), X_MINUS_1, trials=20, seed=5)
+        assert len(trials) == 20
+        assert report.failures == 20 // every
+        assert report.group == AbelianGroup((2, 2))
+
+    def test_trials_keep_the_determinant_check(self, monkeypatch):
+        # the base group's diagonal gets the true det mod q, each trial's a
+        # wrong one, which only the check inside the trial can see
+        true_det_mod_q = exact_linalg._det_mod_q
+        calls = []
+
+        def wrong_after_the_base(rows):
+            calls.append(rows)
+            r = true_det_mod_q(rows)
+            return r if len(calls) == 1 else (r + 1) % exact_linalg._CHECK_PRIME
+
+        monkeypatch.setattr(exact_linalg, "_det_mod_q", wrong_after_the_base)
+        with pytest.raises(RuntimeError, match="prod\\(d\\) == \\|det"):
+            invariance_probe(validate_incidence(A_STD), X_MINUS_1, trials=5, seed=0)
+        assert len(calls) == 2
 
 
 def _replayed_b(n, rng):
@@ -384,6 +429,24 @@ class TestConjugate:
             assert b @ b_inv == IntMatrix.identity(n)
             assert af_invariant._conjugate(m, moved) == (b @ m) @ b_inv
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_move_table_reads_the_divmod_digits(self, n):
+        # oracle: the draw split by divmod into op (3), i (n), j (n - 1,
+        # shifted past i) and k's place in _MOVE_FACTORS, as _replayed_b reads it
+        table = af_invariant._move_table(n)
+        assert len(table) == 18 * n * (n - 1)
+        rng = random.Random(n)
+        draws = [rng.getrandbits(64) for _ in range(3000)]
+        draws += [2**64 - 1 - t for t in range(100)] + list(range(100))
+        for r in draws:
+            q, op = divmod(r, 3)
+            q, i = divmod(q, n)
+            q, j = divmod(q, n - 1)
+            assert table[r % len(table)] == (op, i, j + (j >= i), _MOVE_FACTORS[q % 6])
+
+    def test_move_table_at_n_1_only_negates(self):
+        assert af_invariant._move_table(1) == ((1, 0, 0, 0),)
+
     def test_probe_conjugates_from_its_seed(self, monkeypatch):
         seen = []
 
@@ -391,7 +454,12 @@ class TestConjugate:
             seen.append(m)
             return quotient_group(m, p)
 
+        def recording_rows(coeffs, rows):
+            seen.append(IntMatrix(rows))
+            return _poly_eval_rows(coeffs, rows)
+
         monkeypatch.setattr(af_invariant, "quotient_group", recording)
+        monkeypatch.setattr(af_invariant, "_poly_eval_rows", recording_rows)
         invariance_probe(validate_incidence(A_STD), X_MINUS_1, trials=5, seed=9)
         replay = random.Random(9)
         expected = [A_STD]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from afcurves import exact_linalg
@@ -114,11 +114,14 @@ class TestSnf:
                 prod *= x
             assert prod == abs(det)
 
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(square_matrices())
-    def test_matches_determinantal_divisor_oracle(self, m):
+    def test_matches_determinantal_divisor_oracle(self, wall_bound, m):
         oracle = determinantal_divisors(m)
         prefix = 1
-        for k, dk in enumerate(smith_d(m)):
+        with wall_bound(5):
+            d = smith_d(m)
+        for k, dk in enumerate(d):
             if dk == 0:
                 assert oracle[k] == 0
                 break
@@ -185,10 +188,11 @@ class TestSmithDiagonalModDet:
     divisor of |det M| that they all divide, and sets d_n from |det M|; snf
     keeps _smith and its P * M * Q certificate, so it is the oracle."""
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(nonsingular_or_singular())
-    def test_matches_snf(self, m):
-        assert smith_diagonal(m) == snf(m).d
+    def test_matches_snf(self, wall_bound, m):
+        with wall_bound(5):
+            assert smith_diagonal(m) == snf(m).d
 
     @pytest.mark.parametrize(
         "rows,d",
@@ -219,12 +223,13 @@ class TestSmithDiagonalModDet:
         with wall_bound(2):
             assert exact_linalg._smith_mod([[2, 2], [0, 2]], 2, 4) == [2, 2]
 
-    @settings(max_examples=150)
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(nonsingular_or_singular(), st.integers(1, 400))
-    def test_smith_mod_at_any_modulus_gives_gcds(self, m, modulus):
+    def test_smith_mod_at_any_modulus_gives_gcds(self, wall_bound, m, modulus):
         rows = [list(row) for row in m.rows]
         expected = [gcd(x, modulus) for x in snf(m).d]
-        assert exact_linalg._smith_mod(rows, m.n, modulus) == expected
+        with wall_bound(5):
+            assert exact_linalg._smith_mod(rows, m.n, modulus) == expected
 
     @settings(max_examples=300)
     @given(swap_forcing())
@@ -232,7 +237,7 @@ class TestSmithDiagonalModDet:
     @example(IntMatrix([[1, 2, 3], [2, 4, 1], [3, 1, 2]]))  # swap at step 1
     @example(IntMatrix([[1, 2, 3, 1], [2, 4, 6, 5], [1, 1, 2, 3], [0, 2, 1, 1]]))
     def test_bareiss_g_is_a_multiple_of_the_last_divisor_but_one(self, m):
-        det, g = exact_linalg._bareiss(m)
+        det, g = exact_linalg._bareiss(m.rows)
         assert det == determinant(m)
         last_but_one = determinantal_divisors(m)[-2] if m.n > 1 else 1
         if last_but_one:
