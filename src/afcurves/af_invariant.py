@@ -224,11 +224,6 @@ def _conjugate_rows(rows, rng: random.Random, table: tuple) -> list:
     return c
 
 
-def _conjugate(m: IntMatrix, rng: random.Random) -> IntMatrix:
-    """_conjugate_rows on m's rows, as an IntMatrix."""
-    return IntMatrix(_conjugate_rows(m.rows, rng, _move_table(m.n)))
-
-
 def invariance_probe(
     a: IncidenceMatrix, p: IntPolynomial, trials: int = 100, seed: int = 0
 ) -> ProbeReport:

@@ -109,6 +109,13 @@ def _emit_error(exc: Exception, fmt: str) -> int:
 def _cmd_snf(args) -> tuple:
     m = exact_linalg.parse_matrix(args.matrix)
     dec = exact_linalg.snf(m)
+    # m itself was read from text, so it prints; d, P and Q may not
+    rows = (dec.d, *dec.p_left.rows, *dec.q_right.rows)
+    if max(abs(x) for row in rows for x in row) >= 10**PRINTABLE_DIGITS:
+        raise exact_linalg.BudgetExceeded(
+            f"the Smith form of this {m.n} x {m.n} matrix has integers over "
+            f"{PRINTABLE_DIGITS} digits"
+        )
     return {
         "matrix": m,
         "diagonal": dec.d,

@@ -27,8 +27,9 @@ route: a Smith chain with prod(d) = |det M|, or ending in 0 when det M = 0.
 When det M != 0 this proves P and Q unimodular (det P * det M * det Q =
 +-det M, so the integers det P, det Q are +-1); only a singular M has them
 taken.  The mod-h route sets d_n from D, so that rule cannot see a wrong D;
-smith_diagonal also holds det M mod a fixed prime, by elimination over F_q
-without the Bareiss value, to +-prod(d).
+smith_diagonal also holds det M mod a fixed prime to +-prod(d).  That
+residue comes from _det_mod_q, an in-place elimination over F_q that shares
+no code with _bareiss or _smith_mod.
 
 trace_power gives tr(M^k) from x^k modulo the characteristic polynomial
 (Cayley-Hamilton), in O(n^2 log k) big-integer products; M^k is not formed.
@@ -313,8 +314,9 @@ def smith_diagonal(m: IntMatrix) -> tuple:
     snf's reduction _smith on its bare rows.  Two checks follow on either
     route.  d passes the rule verify uses against the Bareiss value; the
     mod-h route sets d_n from D, so that rule alone cannot see a wrong D.
-    And det(m) mod the prime _CHECK_PRIME, by elimination over F_q with no
-    call to _bareiss, equals +-prod(d) mod q.
+    And det(m) mod the prime _CHECK_PRIME equals +-prod(d) mod q; that
+    residue comes from _det_mod_q, an in-place loop over F_q that shares no
+    code with _bareiss or _smith_mod.
     """
     return _smith_diagonal(m.rows)
 
@@ -341,23 +343,46 @@ _CHECK_PRIME = 2**30 - 35
 
 def _det_mod_q(rows) -> int:
     """det mod q = _CHECK_PRIME of the square rows, by Gaussian elimination
-    over F_q."""
+    over F_q, in place on a reduced copy.  It shares no code with _bareiss or
+    _smith_mod, so it checks the Bareiss value independently.
+
+    Column k takes as its pivot the first row from k down whose entry there
+    is nonzero, swapped up (det -> q - det); det takes the pivot, and each
+    row below takes one multiply-subtract of the pivot row, by its entry
+    over the pivot.
+    """
     q = _CHECK_PRIME
     a = [[x % q for x in row] for row in rows]
+    n = len(a)
     det = 1
-    while a:
-        i = next((i for i, row in enumerate(a) if row[0]), None)
-        if i is None:
-            return 0
-        det = det * (-1) ** i * _eliminate(a, i, 0, q) % q  # Laplace on column 0
+    for k in range(n):
+        top = a[k]
+        if not top[k]:
+            for r in range(k + 1, n):
+                if a[r][k]:
+                    a[k], a[r] = a[r], top
+                    top = a[k]
+                    det = q - det  # det is a nonzero residue here
+                    break
+            else:
+                return 0
+        pivot = top[k]
+        det = det * pivot % q
+        inv = pow(pivot, -1, q)
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k] * inv % q
+            if f:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] - f * top[j]) % q
     return det
 
 
 def _eliminate(a, i, j, modulus) -> int:
-    """Pop row i and column j of the rows a, whose entry there is a unit mod
-    modulus; each other row takes one multiply-subtract of the pivot row
-    mod modulus, which clears its column-j entry, so a ends as the Schur
-    complement.  Returns the pivot entry."""
+    """_smith_mod's unit step.  Pop row i and column j of the rows a, whose
+    entry there is a unit mod modulus; each other row takes one
+    multiply-subtract of the pivot row mod modulus, which clears its column-j
+    entry, so a ends as the Schur complement.  Returns the pivot entry."""
     top = a.pop(i)
     pivot = top.pop(j)
     inv = pow(pivot, -1, modulus)
@@ -547,21 +572,27 @@ def _bareiss(rows) -> tuple:
     prev = 1
     g = 1
     for k in range(n - 1):
+        top = a[k]
         if k == n - 2:
-            g = gcd(a[k][k], a[k][k + 1], a[k + 1][k], a[k + 1][k + 1])
-        if a[k][k] == 0:
+            below = a[k + 1]
+            g = gcd(top[k], top[k + 1], below[k], below[k + 1])
+        if top[k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
+                    a[k], a[r] = a[r], top
+                    top = a[k]
                     sign = -sign
                     break
             else:
                 return 0, 0
+        p = top[k]
         for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[k] = 0
+        prev = p
     return sign * a[n - 1][n - 1], g
 
 

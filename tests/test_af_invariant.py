@@ -384,6 +384,12 @@ class TestInvarianceProbe:
         assert len(calls) == 2
 
 
+def _conjugate(m, rng):
+    """The probe's conjugate of m, af_invariant._conjugate_rows on m's rows,
+    as an IntMatrix."""
+    return IntMatrix(af_invariant._conjugate_rows(m.rows, rng, af_invariant._move_table(m.n)))
+
+
 def _replayed_b(n, rng):
     """(B, B^-1) from the draws one _conjugate call takes from rng, each row
     step on B mirrored by its inverse column step on B^-1, as random_glnz
@@ -427,7 +433,7 @@ class TestConjugate:
         for _ in range(25):  # one stream across calls, as the probe draws it
             b, b_inv = _replayed_b(n, replay)
             assert b @ b_inv == IntMatrix.identity(n)
-            assert af_invariant._conjugate(m, moved) == (b @ m) @ b_inv
+            assert _conjugate(m, moved) == (b @ m) @ b_inv
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_move_table_reads_the_divmod_digits(self, n):
@@ -480,7 +486,7 @@ class TestConjugate:
     )
     @settings(deadline=None)
     def test_keeps_similarity_invariants(self, m, seed):
-        c = af_invariant._conjugate(m, random.Random(seed))
+        c = _conjugate(m, random.Random(seed))
         assert determinant(c) == determinant(m)
         for k in range(1, m.n + 1):
             assert mat_pow(c, k).trace() == mat_pow(m, k).trace()
@@ -493,6 +499,6 @@ class TestConjugate:
     )
     def test_control_most_conjugates_move(self, m):
         rng = random.Random(0)
-        moved = sum(af_invariant._conjugate(m, rng) != m for _ in range(200))
+        moved = sum(_conjugate(m, rng) != m for _ in range(200))
         assert moved >= 180
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,34 @@ class TestSnfCommand:
         code, out, err = run_cli(capsys, "snf", "1,x;2,3")
         assert code == 1
         assert "row 1, column 2" in err
+
+    def test_unprintable_transforms_are_the_packages_refusal(self, capsys, wall_bound):
+        # the seeded dense 48 x 48 matrix: P and Q reach ~17,700 bits, past the
+        # 4,300 digits int-to-str conversion prints; the error line must be
+        # BudgetExceeded, not the interpreter's own ValueError
+        rng = random.Random(1)
+        text = ";".join(
+            ",".join(str(rng.randint(-50, 50)) for _ in range(48)) for _ in range(48)
+        )
+        with wall_bound(60):
+            code, out, err = run_cli(capsys, "snf", text)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: BudgetExceeded: the Smith form of this 48 x 48 matrix has "
+            f"integers over {cli.PRINTABLE_DIGITS} digits\n"
+        )
+
+    def test_printable_cap_is_exact(self, capsys):
+        # a 1 x 1 matrix prints as its own diagonal entry, so 4,300 nines
+        # print; diag(a, a + 1) with coprime 4,300-digit a has d_2 = a (a + 1),
+        # near 8,600 digits, though every entry of P and Q prints
+        nines = "9" * cli.PRINTABLE_DIGITS
+        code, payload, _ = run_json(capsys, "snf", nines)
+        assert code == 0 and payload["diagonal"] == [int(nines)]
+        a = 10 ** (cli.PRINTABLE_DIGITS - 1)
+        code, out, err = run_cli(capsys, "snf", f"{a},0;0,{a + 1}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: BudgetExceeded: the Smith form of this 2 x 2 ")
 
 
 class TestAbelianizeCommand:

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -167,11 +168,12 @@ def _smith_unreached(a, n):
 
 
 @st.composite
-def swap_forcing(draw):
-    """Square matrices with n <= 5; half of those with n >= 2 have a leading
-    (k+1)-minor that vanishes (a[0][0] = 0, or row k a multiple of row 0 in
-    its first k + 1 entries), so Bareiss meets a zero pivot and swaps rows."""
-    m = draw(square_matrices(max_n=5, max_entry=9))
+def swap_forcing(draw, matrices=square_matrices(max_n=5, max_entry=9)):
+    """Square matrices (by default n <= 5); half of those with n >= 2 have a
+    leading (k+1)-minor that vanishes (a[0][0] = 0, or row k a multiple of
+    row 0 in its first k + 1 entries), so Bareiss meets a zero pivot and
+    swaps rows."""
+    m = draw(matrices)
     rows = [list(row) for row in m.rows]
     if m.n > 1 and draw(st.booleans()):
         k = draw(st.integers(0, m.n - 2))
@@ -271,6 +273,57 @@ class TestSmithDiagonalModDet:
         assert smith_diagonal(_seeded_matrix(6, 6)) == (1, 1, 1, 1, 2, 158720)
         with pytest.raises(LookupError, match="_smith reached"):
             smith_diagonal(IntMatrix([[2, 4], [3, 6]]))
+
+
+def wide_entries():
+    """Small entries, entries beyond +-2^30 and nonzero multiples of the
+    check prime q (0 mod q), negatives included."""
+    q = exact_linalg._CHECK_PRIME
+    return st.one_of(
+        st.integers(-9, 9),
+        st.integers(2**30 + 1, 2**80),
+        st.integers(-(2**80), -(2**30) - 1),
+        st.integers(-3, 3).filter(bool).map(lambda k: k * q),
+    )
+
+
+@st.composite
+def det_mod_q_inputs(draw):
+    """swap_forcing over wide entries and n <= 6; half of those with n >= 2
+    are made singular, one row a multiple of another (the multiple 0
+    included)."""
+    matrices = st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(wide_entries(), min_size=n, max_size=n), min_size=n, max_size=n
+        ).map(IntMatrix)
+    )
+    m = draw(swap_forcing(matrices))
+    rows = [list(row) for row in m.rows]
+    if m.n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m.n)))[:2]
+        k = draw(st.integers(-2, 2))
+        rows[i] = [k * x for x in rows[j]]
+    return IntMatrix(rows)
+
+
+class TestDetModQ:
+    """_det_mod_q is smith_diagonal's check on the Bareiss value, so its
+    oracle is sympy's determinant reduced mod q."""
+
+    @settings(max_examples=300)
+    @given(det_mod_q_inputs())
+    @example(IntMatrix([[-7]]))  # n = 1
+    @example(IntMatrix([[0]]))
+    @example(IntMatrix([[-exact_linalg._CHECK_PRIME]]))  # 0 mod q, not 0
+    @example(IntMatrix([[0, 1], [1, 0]]))  # one swap: det = -1
+    @example(IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+    @example(IntMatrix([[0, 2**40, 1], [-(2**31), 5, 0], [3, 0, -(2**35)]]))
+    @example(IntMatrix([[1, 2], [2, 4]]))  # singular
+    def test_matches_sympy(self, m):
+        rows = [list(row) for row in m.rows]
+        expected = int(sympy.Matrix(rows).det()) % exact_linalg._CHECK_PRIME
+        assert exact_linalg._det_mod_q(rows) == expected
+        assert rows == [list(row) for row in m.rows]  # read, not changed
 
 
 def _seeded_matrix(n, seed):
