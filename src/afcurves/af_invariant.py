@@ -3,22 +3,19 @@
 Given a nonnegative unimodular incidence matrix A (some power strictly
 positive) and an integer polynomial p with p(0) = +-1, the invariant is the
 finitely generated abelian group Z^n / p(A) Z^n, read off the Smith diagonal
-of p(A).  The diagonal comes from exact_linalg.smith_diagonal, which builds no
-transforms, reduces p(A) modulo a divisor h of |det p(A)| when that is
-nonzero (h = gcd of |det p(A)| and four (n-1)-minors, 1 for most dense p(A)),
-and checks prod(d) against det p(A) instead of a P, Q certificate.  The group
-is unchanged by GL_n(Z) conjugation of A, which the probe harness checks on
-random conjugates made by elementary moves on a copy of A (no B), one 64-bit
-draw a move, read off a table of moves built once a probe; each move is
-exact_linalg._move, the step random_glnz also builds B from.  A trial stays
-on plain lists of rows and builds no record: it compares the Smith diagonal
-of p(A'), with every check smith_diagonal makes, as a tuple with the base
-diagonal, which is group equality because the Smith form is canonical.
+of p(A) that exact_linalg.smith_diagonal gives (its route and checks are in
+exact_linalg's docstring).  The group is unchanged by GL_n(Z) conjugation of
+A, which the probe harness checks on random conjugates made by elementary
+moves on a copy of A (no B), one 64-bit draw a move, read off a table of
+moves built once a probe; each move is exact_linalg._move, the step
+random_glnz also builds B from.  A trial stays on plain lists of rows and
+builds no record: it compares the Smith diagonal of p(A'), with every check
+smith_diagonal makes, as a tuple with the base diagonal, which is group
+equality because the Smith form is canonical.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 
 from .exact_linalg import (
@@ -27,7 +24,8 @@ from .exact_linalg import (
     IntPolynomial,
     Record,
     determinant,
-    is_unimodular,
+    exact_int,
+    exact_ints,
     mat_poly_eval,
     smith_diagonal,
     _MOVE_FACTORS,
@@ -36,10 +34,10 @@ from .exact_linalg import (
     _smith_diagonal,
 )
 
-# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 7-13 s
-# at n = 32 and p = x - 1 (1.7-3.1 ms a trial) on CPython 3.11, 2 shared
-# vCPUs, for a primitive incidence matrix of a 32-cycle and 16 edges.  One rule
-# holds every n to that work: trials * max(n, 32)^3 <= _TRIAL_CAP * 32^3.
+# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 5.7-7.2 s
+# at n = 32, p = x - 1 (1.4-1.8 ms a trial; CPython 3.11.7, 2 shared vCPUs) on
+# bench/common.incidence_text(Random(s), 32, 16), s = 1-3.  One rule holds
+# every n to that work: trials * max(n, 32)^3 <= _TRIAL_CAP * 32^3.
 _TRIAL_CAP = 4096
 
 
@@ -68,18 +66,18 @@ class AbelianGroup(Record):
     torsion is the divisibility chain of elementary divisors (each >= 2,
     each dividing the next, factors equal to 1 dropped); free_rank counts
     the Z summands.  Structural equality of (torsion, free_rank) is group
-    equality because this form is canonical.  Non-integer divisors or rank
-    raise TypeError.
+    equality because this form is canonical.  Divisors and rank pass
+    exact_linalg.exact_int, or raise TypeError.
     """
 
     torsion: tuple
     free_rank: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "free_rank", operator.index(self.free_rank))
+        object.__setattr__(self, "free_rank", exact_int(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(map(operator.index, self.torsion)))
+        object.__setattr__(self, "torsion", exact_ints(self.torsion))
         for g in self.torsion:
             if g < 2:
                 raise ValueError("elementary divisors must be >= 2")
@@ -139,8 +137,9 @@ def validate_incidence(m: IntMatrix) -> IncidenceMatrix:
     """
     if not m.is_nonnegative():
         raise NegativeEntry(f"incidence matrix entries must be nonnegative: {m.rows}")
-    if not is_unimodular(m):
-        raise NotUnimodular(f"|det| must be 1, got det = {determinant(m)}")
+    det = determinant(m)
+    if abs(det) != 1:
+        raise NotUnimodular(f"|det| must be 1, got det = {det}")
     n = m.n
     successors = [{j for j, x in enumerate(row) if x} for row in m.rows]
     power = successors

@@ -12,12 +12,11 @@ squared when the plain product is not yet strictly positive (period length 1).
 
 from __future__ import annotations
 
-import operator
 import re
 from math import isqrt
 
 from .af_invariant import IncidenceMatrix, validate_incidence
-from .exact_linalg import BudgetExceeded, IntMatrix, Record
+from .exact_linalg import BudgetExceeded, IntMatrix, Record, exact_ints
 
 # States expand visits before BudgetExceeded: ~0.2 s on CPython 3.11, 2 vCPUs.
 _STATE_CAP = 1 << 18
@@ -36,8 +35,8 @@ class QuadraticIrrational(Record):
 
     Canonical means q_den divides d_rad - p_num**2, which the constructor
     arranges by scaling all three fields; the value is unchanged.  d_rad
-    must be positive and not a perfect square.  A non-integer field raises
-    TypeError.
+    must be positive and not a perfect square.  The fields pass
+    exact_linalg.exact_int, or raise TypeError.
     """
 
     p_num: int
@@ -45,7 +44,7 @@ class QuadraticIrrational(Record):
     q_den: int
 
     def __post_init__(self):
-        p, d, q = map(operator.index, (self.p_num, self.d_rad, self.q_den))
+        p, d, q = exact_ints((self.p_num, self.d_rad, self.q_den))
         if q == 0:
             raise ValueError("denominator must be nonzero")
         if d <= 0 or isqrt(d) ** 2 == d:
@@ -65,15 +64,15 @@ class PeriodicCF(Record):
 
     The period is the minimal repeating block; every quotient after the
     first is >= 1 (the leading one may be any integer, negative included).
-    A non-integer quotient raises TypeError.
+    Quotients pass exact_linalg.exact_int, or raise TypeError.
     """
 
     preperiod: tuple
     period: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(map(operator.index, self.preperiod)))
-        object.__setattr__(self, "period", tuple(map(operator.index, self.period)))
+        object.__setattr__(self, "preperiod", exact_ints(self.preperiod))
+        object.__setattr__(self, "period", exact_ints(self.period))
         if not self.period:
             raise ValueError("period must be nonempty")
         for a in self.preperiod[1:]:

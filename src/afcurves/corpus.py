@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 from fractions import Fraction
 
 from .af_invariant import (
@@ -30,6 +29,7 @@ from .elliptic import CurveQ, legendre_model, torsion_subgroup
 from .exact_linalg import (
     IntPolynomial,
     Record,
+    exact_int,
     parse_int_list,
     parse_matrix,
     parse_poly,
@@ -144,23 +144,16 @@ def _parse_expected(raw) -> AbelianGroup | None:
     if raw is None or raw == "":
         return None
     if isinstance(raw, dict):
-        torsion = tuple(map(_json_int, raw.get("torsion", ())))
-        return AbelianGroup(torsion, _json_int(raw.get("free_rank", 0)))
+        return AbelianGroup(raw.get("torsion", ()), raw.get("free_rank", 0))
     text = str(raw).strip()
     if text.lower() == "trivial":
         return AbelianGroup(())
     return AbelianGroup(tuple(parse_int_list(text, "torsion")))
 
 
-def _json_int(value) -> int:
-    if isinstance(value, bool):  # JSON true/false; operator.index refuses floats
-        raise TypeError(f"bool {value!r} is not an integer")
-    return operator.index(value)
-
-
 def _int_cell(value) -> int:
     """An integer from a CSV string cell or a JSON integer."""
-    return int(value) if isinstance(value, str) else _json_int(value)
+    return int(value) if isinstance(value, str) else exact_int(value)
 
 
 def _entry_from_mapping(record: dict) -> CorpusEntry:

@@ -12,13 +12,12 @@ All arithmetic is exact (Fraction); a float argument raises TypeError.
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
 from math import isqrt, lcm
 
 from .af_invariant import AbelianGroup
-from .exact_linalg import BudgetExceeded, Record, to_fraction
+from .exact_linalg import BudgetExceeded, Record, exact_int, to_fraction
 
 # Steps a curve search may take before it raises BudgetExceeded instead.
 _STEP_CAP = 1 << 22
@@ -119,7 +118,7 @@ def rational_lambdas_from_j(j) -> list:
 class CurveQ(Record):
     """Integral short Weierstrass curve y^2 = x^3 + a x + b, nonsingular.
 
-    a and b must be integers; a float or Fraction raises TypeError.
+    a and b pass exact_linalg.exact_int, or raise TypeError.
     """
 
     a: int
@@ -127,8 +126,8 @@ class CurveQ(Record):
     disc: int  # set from a and b, not an argument
 
     def __init__(self, a, b):
-        object.__setattr__(self, "a", operator.index(a))
-        object.__setattr__(self, "b", operator.index(b))
+        object.__setattr__(self, "a", exact_int(a))
+        object.__setattr__(self, "b", exact_int(b))
         disc = -16 * (4 * self.a**3 + 27 * self.b**2)
         if disc == 0:
             raise SingularCurve(f"discriminant vanishes for a={self.a}, b={self.b}")

@@ -36,6 +36,8 @@ trace_power gives tr(M^k) from x^k modulo the characteristic polynomial
 
 Record, the frozen base of the package's value types, reads its fields from
 the class annotations and generates no code; the package needs no dataclasses.
+Every value type takes its integers through exact_int or exact_ints, the one
+rule for an exact integer in the package.
 
 Everything runs on Python's arbitrary-precision integers; there is no
 floating point and no entry-size limit anywhere in this module.
@@ -110,16 +112,34 @@ class Record:
     __delattr__ = __setattr__
 
 
+def exact_int(value) -> int:
+    """operator.index(value), the package's one rule for an exact integer: a
+    float or Fraction raises TypeError rather than truncate, and so does a
+    bool (a JSON true, say) rather than pass as 1 or 0."""
+    if type(value) is bool:
+        raise TypeError(f"bool {value!r} is not an integer")
+    return operator.index(value)
+
+
+def exact_ints(values) -> tuple:
+    """exact_int of each value, as a tuple: one C-level scan of the types
+    passes values that are all exactly int; any other set takes exact_int."""
+    values = tuple(values)
+    if not {int}.issuperset(map(type, values)):
+        values = tuple(map(exact_int, values))
+    return values
+
+
 def to_fraction(value) -> Fraction:
-    """Fraction(value) for an int, a Fraction or a `p/q` string; a float or
-    a bool raises TypeError rather than pass as its binary expansion or 0/1,
-    and text that is not a rational, `1/0` included, raises ValueError."""
+    """Fraction(value) for an int, a Fraction or a `p/q` string; a float, or
+    a bool by exact_int, raises TypeError rather than pass as its binary
+    expansion or 0/1, and text that is not a rational raises ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (bool, float)):
-        raise TypeError(
-            f"{type(value).__name__} {value!r} is not an int, Fraction or 'p/q'"
-        )
+    if isinstance(value, int):
+        return Fraction(exact_int(value))
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not an int, Fraction or 'p/q'")
     try:
         return Fraction(value)
     except ZeroDivisionError:  # from 'p/0'; every refusal is a ValueError
@@ -129,15 +149,14 @@ def to_fraction(value) -> Fraction:
 class IntMatrix(Record):
     """Dense square matrix of exact integers, immutable after construction.
 
-    Entries must be integers (anything `operator.index` accepts); a float or
-    Fraction raises TypeError instead of being truncated.
+    Entries pass exact_int, or raise TypeError.
     """
 
     rows: tuple
     n: int  # set from rows, not an argument
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(operator.index, row)) for row in rows)
+        rows = tuple(map(exact_ints, rows))
         n = len(rows)
         if n == 0:
             raise ValueError("matrix must have dimension >= 1")
@@ -201,14 +220,14 @@ class IntPolynomial(Record):
     """Integer polynomial, coefficients stored constant-first.
 
     coeffs[k] is the coefficient of x^k; trailing zeros are stripped so the
-    leading coefficient is nonzero except for the zero polynomial ().  A
-    non-integer coefficient raises TypeError.
+    leading coefficient is nonzero except for the zero polynomial ().  Each
+    coefficient passes exact_int, or raises TypeError.
     """
 
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = list(map(operator.index, self.coeffs))
+        coeffs = list(exact_ints(self.coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -304,20 +323,9 @@ def snf(m: IntMatrix) -> SmithDecomposition:
 
 
 def smith_diagonal(m: IntMatrix) -> tuple:
-    """Smith diagonal of m, without the transforms P and Q (_smith_diagonal
-    on m's rows).
-
-    D = |det m| and g, the gcd of four (n-1)-minors, come first, by Bareiss.
-    When D != 0, d_1 ... d_(n-1) = D_(n-1) divides g and D, so each d_i with
-    i < n divides h = gcd(g, D) and _smith_mod at modulus h reads it off as
-    gcd(d_i, h) = d_i; d_n is D over their product.  A singular m takes
-    snf's reduction _smith on its bare rows.  Two checks follow on either
-    route.  d passes the rule verify uses against the Bareiss value; the
-    mod-h route sets d_n from D, so that rule alone cannot see a wrong D.
-    And det(m) mod the prime _CHECK_PRIME equals +-prod(d) mod q; that
-    residue comes from _det_mod_q, an in-place loop over F_q that shares no
-    code with _bareiss or _smith_mod.
-    """
+    """Smith diagonal of m, without the transforms P and Q, checked against
+    det m; RuntimeError if a check fails.  The module docstring gives the
+    route and its two checks."""
     return _smith_diagonal(m.rows)
 
 
@@ -327,7 +335,7 @@ def _smith_diagonal(rows) -> tuple:
     n = len(rows)
     det, g = _bareiss(rows)
     if det:
-        d = _smith_mod(rows, n, gcd(g, det))[:-1]
+        d = _smith_mod(rows, gcd(g, det))[:-1]
         d.append(abs(det) // prod(d))
     else:
         d = _smith([list(row) for row in rows], n)
@@ -378,11 +386,11 @@ def _det_mod_q(rows) -> int:
     return det
 
 
-def _eliminate(a, i, j, modulus) -> int:
+def _eliminate(a, i, j, modulus) -> None:
     """_smith_mod's unit step.  Pop row i and column j of the rows a, whose
     entry there is a unit mod modulus; each other row takes one
     multiply-subtract of the pivot row mod modulus, which clears its column-j
-    entry, so a ends as the Schur complement.  Returns the pivot entry."""
+    entry, so a ends as the Schur complement."""
     top = a.pop(i)
     pivot = top.pop(j)
     inv = pow(pivot, -1, modulus)
@@ -390,10 +398,9 @@ def _eliminate(a, i, j, modulus) -> int:
         f = row.pop(j) * inv % modulus
         if f:
             a[r] = [(x - f * y) % modulus for x, y in zip(row, top)]
-    return pivot
 
 
-def _smith_mod(a, n, modulus) -> list:
+def _smith_mod(a, modulus) -> list:
     """Smith chain of the n x n rows a over Z/modulus Z, modulus >= 1: the
     chain of gcd(d_i, modulus) for the Smith diagonal d of a over Z.
 
@@ -407,6 +414,7 @@ def _smith_mod(a, n, modulus) -> list:
     being modulus; the gcds are folded into a divisibility chain at the end
     by (x, y) -> (gcd, lcm).
     """
+    n = len(a)
     if modulus == 1:
         return [1] * n
     a = [[x % modulus for x in row] for row in a]
@@ -537,7 +545,10 @@ def _smith(a, n) -> list:
 
 
 def _bezout(x: int, y: int):
-    """u, v with u*x + v*y = gcd(x, y)."""
+    """u, v with u*x + v*y = gcd(x, y), for x, y >= 1: Euclid's remainders
+    are then nonnegative, so the last nonzero one is the gcd, not its
+    negative.  _smith passes its positive diagonal, _bezout_pivot nonzero
+    residues."""
     old_r, r = x, y
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -546,8 +557,6 @@ def _bezout(x: int, y: int):
         old_r, r = r, old_r - qt * r
         old_s, s = s, old_s - qt * s
         old_t, t = t, old_t - qt * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
     return old_s, old_t
 
 

@@ -111,6 +111,33 @@ class TestAbelianGroup:
         assert str(AbelianGroup(())) == "trivial"
         assert str(AbelianGroup((3,), free_rank=2)) == "Z_3 + Z^2"
 
+    @pytest.mark.parametrize("torsion,text", [((), "Z"), ((2, 4), "Z_2 + Z_4 + Z")])
+    def test_str_of_free_rank_1(self, torsion, text):
+        assert str(AbelianGroup(torsion, free_rank=1)) == text
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: AbelianGroup((2,), -1), ValueError, "free rank must be nonnegative"),
+        (
+            lambda: invariance_probe(validate_incidence(A_STD), X_MINUS_1, trials=0),
+            ValueError,
+            "trials must be >= 1",
+        ),
+        (
+            lambda: validate_incidence(IntMatrix([[3, 1], [1, 1]])),
+            NotUnimodular,
+            "|det| must be 1, got det = 2",
+        ),
+    ],
+    ids=["negative_free_rank", "no_trials", "det_2"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
 
 class TestValidateIncidence:
     def test_already_positive(self):

@@ -3,11 +3,12 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from afcurves import cli, exact_linalg, zeta
+from afcurves import af_invariant, cli, exact_linalg, zeta
 from afcurves.cli import main
 
 BUNDLED = str(Path(__file__).resolve().parent.parent / "data" / "cm_corpus.json")
@@ -354,6 +355,29 @@ class TestZetaCommand:
         assert (code, out) == (1, "")
         assert err == "error: ValueError: order must be >= 0\n"
 
+    def test_floor_branch_of_the_bits_bound(self, capsys, wall_bound):
+        # ||A|| = 7, so the floor is 2p; the first prime with 2p > 2^20 takes
+        # it, and forming 7^p (~184 KB) would show in the traced peak
+        a = af_invariant.validate_incidence(exact_linalg.parse_matrix("5,2;2,1"))
+        p = next(q for q in range(2**19 + 1, 2**20) if zeta.is_prime(q))
+        tracemalloc.start()
+        try:
+            bits = zeta.local_bits_bound(a, p, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (p, bits) == (524_309, 2 * p)
+        assert peak < 2**16
+        with wall_bound(2):
+            code, payload, _ = run_json(
+                capsys, "zeta", "lambda=-1", "5,2;2,1", "--primes", str(p)
+            )
+        assert code == 0
+        assert payload == [{
+            "prime": p, "error": "BudgetExceeded",
+            "message": f"the row at p = {p} may print integers over 4300 digits",
+        }]
+
     def test_prime_past_the_miller_rabin_bound_is_a_row(self, capsys):
         argv = ("zeta", "lambda=-1", "5,2;2,1", "--format", "json", "--primes")
         _, alone, _ = run_cli(capsys, *argv, "3")
@@ -405,6 +429,57 @@ class TestConjectureCommand:
         code, payload, _ = run_json(capsys, "conjecture", str(path))
         assert code == 0
         assert payload == []
+
+    def test_ab_rows_and_failed_runs(self, capsys, tmp_path):
+        # an a, b curve spec is echoed as a and b, and a row whose run fails
+        # keeps its specs beside the error, in JSON and in text alike
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps([
+            {"label": "direct", "a": -4, "b": 0, "matrix": "5,2;2,1",
+             "polynomials": ["-1,1"]},
+            {"label": "singular", "a": 0, "b": 0, "matrix": "5,2;2,1",
+             "polynomials": ["-1,1"]},
+            {"label": "det 2", "lambda": "2", "matrix": "3,1;1,1",
+             "polynomials": ["-1,1"]},
+        ]))
+        code, payload, err = run_json(capsys, "conjecture", str(path))
+        z2z2 = {"free_rank": 0, "torsion": [2, 2]}
+        assert (code, err) == (0, "")
+        assert payload == [
+            {"a": -4, "b": 0, "computed_torsion": z2z2, "curve": "a=-4,b=0",
+             "incidence": "5,2;2,1", "j": "1728", "label": "direct",
+             "matrix": "5,2;2,1",
+             "invariants": [
+                 {"group": z2z2, "polynomial": "-1,1", "verdict": "match"}
+             ]},
+            {"a": 0, "b": 0, "label": "singular", "matrix": "5,2;2,1",
+             "error": "SingularCurve: discriminant vanishes for a=0, b=0"},
+            {"error": "NotUnimodular: |det| must be 1, got det = 2",
+             "label": "det 2", "lambda": "2", "matrix": "3,1;1,1"},
+        ]
+        assert run_cli(capsys, "conjecture", str(path)) == (0, (
+            "- a: -4\n"
+            "  b: 0\n"
+            "  computed_torsion: Z_2 + Z_2\n"
+            "  curve: y^2 = x^3 + -4*x + 0\n"
+            "  incidence: 5,2;2,1\n"
+            "  invariants:\n"
+            "    - group: Z_2 + Z_2\n"
+            "      polynomial: x - 1\n"
+            "      verdict: match\n"
+            "  j: 1728\n"
+            "  label: direct\n"
+            "  matrix: 5,2;2,1\n"
+            "- a: 0\n"
+            "  b: 0\n"
+            "  error: SingularCurve: discriminant vanishes for a=0, b=0\n"
+            "  label: singular\n"
+            "  matrix: 5,2;2,1\n"
+            "- error: NotUnimodular: |det| must be 1, got det = 2\n"
+            "  label: det 2\n"
+            "  lambda: 2\n"
+            "  matrix: 3,1;1,1\n"
+        ), "")
 
     def test_expected_mismatch_fails_run(self, capsys, tmp_path):
         path = tmp_path / "wrong.json"

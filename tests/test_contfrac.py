@@ -247,6 +247,20 @@ class TestIncidenceFromPeriod:
         with pytest.raises(TypeError):
             PeriodicCF((1.7,), (2.2,))
 
+    @pytest.mark.parametrize(
+        "preperiod,period,message",
+        [
+            ((1,), (), "period must be nonempty"),
+            ((-3, 2, 0), (1,), "partial quotients after the first must be >= 1"),
+            ((-3,), (2, 0), "period entries must be >= 1"),
+        ],
+        ids=["empty_period", "preperiod_quotient", "period_quotient"],
+    )
+    def test_periodic_cf_refusals(self, preperiod, period, message):
+        with pytest.raises(ValueError) as exc:
+            PeriodicCF(preperiod, period)
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
+
     def test_two_term_period_needs_no_squaring(self):
         inc = incidence_from_period(PeriodicCF((), (2, 1)))
         assert inc.m == IntMatrix([[3, 2], [1, 1]])

@@ -20,6 +20,9 @@ from afcurves.exact_linalg import IntMatrix, IntPolynomial, parse_poly
 
 BUNDLED = Path(__file__).resolve().parent.parent / "data" / "cm_corpus.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
+NO_POLYNOMIAL = InvalidEntry(
+    "one", "CorpusError: 'one': at least one polynomial required"
+)
 
 
 def gaussian_entry(**overrides):
@@ -207,6 +210,22 @@ class TestLoadCorpus:
         report = run_entry(entry)
         assert report.computed_torsion == AbelianGroup((2, 2))
         assert report.verdicts[0].verdict == "match"
+
+    @pytest.mark.parametrize(
+        "polys,expected",
+        [
+            ({}, NO_POLYNOMIAL),
+            ({"polynomials": []}, NO_POLYNOMIAL),
+            ({"polynomials": "-1,1"}, (IntPolynomial([-1, 1]),)),
+        ],
+        ids=["absent", "empty_list", "one_string"],
+    )
+    def test_polynomials_cell(self, tmp_path, polys, expected):
+        row = {"label": "one", "lambda": "-1", "matrix": "5,2;2,1", **polys}
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([row]))
+        (entry,) = load_corpus(str(path))
+        assert (entry if entry == NO_POLYNOMIAL else entry.polynomials) == expected
 
     def test_float_expected_torsion_becomes_invalid_entry(self, tmp_path):
         path = tmp_path / "corpus.json"

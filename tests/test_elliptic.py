@@ -193,6 +193,13 @@ class TestGroupLaw:
         assert add_points(e, p, negate(p)) == INFINITY
 
 
+    @pytest.mark.parametrize("k", [-1, -2, -7])
+    def test_negative_multiple_is_the_negated_multiple(self, k):
+        e, p = CurveQ(0, -2), Point(3, 5)  # y^2 = x^3 - 2; (3, 5) has infinite order
+        assert mul_point(e, k, p) == negate(mul_point(e, -k, p)) != INFINITY
+        assert add_points(e, mul_point(e, k, p), mul_point(e, -k, p)) == INFINITY
+
+
 class TestTorsionSubgroup:
     @pytest.mark.parametrize(
         "curve,expected",

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from afcurves import exact_linalg
 from afcurves.af_invariant import AbelianGroup, quotient_group
+from afcurves.contfrac import PeriodicCF, QuadraticIrrational
+from afcurves.elliptic import CurveQ
 from afcurves.exact_linalg import (
     IntMatrix,
     IntPolynomial,
@@ -43,6 +45,28 @@ def square_matrices(max_n=4, max_entry=20):
     )
 
 
+class Index:
+    """An integer that is not an int: only its __index__ says so."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# each value type built around one integer argument, and a value it admits
+VALUE_TYPES = {
+    "IntMatrix": (lambda x: IntMatrix([[x, 1], [1, 1]]), 2),
+    "IntPolynomial": (lambda x: IntPolynomial([-1, x]), 1),
+    "AbelianGroup-torsion": (lambda x: AbelianGroup((2, x)), 4),
+    "AbelianGroup-free_rank": (lambda x: AbelianGroup((2,), x), 1),
+    "CurveQ": (lambda x: CurveQ(x, 0), -1),
+    "QuadraticIrrational": (lambda x: QuadraticIrrational(x, 2, 1), 1),
+    "PeriodicCF": (lambda x: PeriodicCF((0,), (x,)), 2),
+}
+
+
 class TestConstructors:
     @pytest.mark.parametrize("bad", [2.7, Fraction(5, 2), Fraction(2)])
     def test_non_integers_raise_instead_of_truncating(self, bad):
@@ -50,6 +74,31 @@ class TestConstructors:
             IntMatrix([[bad, 1], [1, 1]])
         with pytest.raises(TypeError):
             IntPolynomial([bad, 2])
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("build,value", VALUE_TYPES.values(), ids=VALUE_TYPES)
+    def test_every_value_type_refuses_bool(self, build, value, flag):
+        with pytest.raises(TypeError, match=f"^bool {flag} is not an integer$"):
+            build(flag)
+        assert build(Index(value)) == build(value)
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: IntMatrix([]), "matrix must have dimension >= 1"),
+            (lambda: IntMatrix([[1, 2], [3]]), "matrix must be square"),
+            (lambda: A_STD @ IntMatrix.identity(3), "dimension mismatch"),
+            (lambda: A_STD + IntMatrix.identity(1), "dimension mismatch"),
+            (lambda: A_STD - IntMatrix.identity(3), "dimension mismatch"),
+            (lambda: random_glnz(0), "dimension must be >= 1"),
+            (lambda: random_glnz(2, steps=-1), "steps must be >= 0"),
+        ],
+        ids=["empty", "ragged", "matmul", "add", "sub", "glnz_n", "glnz_steps"],
+    )
+    def test_shape_refusals(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
 
 
 FIBONACCI = IntMatrix([[1, 1], [1, 0]])
@@ -223,7 +272,7 @@ class TestSmithDiagonalModDet:
         # x == y beside the pivot: a Bezout swap on it would hand the entry
         # between the pivot's row and column forever
         with wall_bound(2):
-            assert exact_linalg._smith_mod([[2, 2], [0, 2]], 2, 4) == [2, 2]
+            assert exact_linalg._smith_mod([[2, 2], [0, 2]], 4) == [2, 2]
 
     @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(nonsingular_or_singular(), st.integers(1, 400))
@@ -231,7 +280,7 @@ class TestSmithDiagonalModDet:
         rows = [list(row) for row in m.rows]
         expected = [gcd(x, modulus) for x in snf(m).d]
         with wall_bound(5):
-            assert exact_linalg._smith_mod(rows, m.n, modulus) == expected
+            assert exact_linalg._smith_mod(rows, modulus) == expected
 
     @settings(max_examples=300)
     @given(swap_forcing())
@@ -604,6 +653,12 @@ class TestTextFormats:
         assert format_poly(p) == "-1,1"
         assert str(p) == "x - 1"
         assert str(parse_poly("1,-2,0,1")) == "x^3 - 2*x + 1"
+
+    @pytest.mark.parametrize("coeffs", [(), (0,), (0, 0, 0)])
+    def test_zero_polynomial_renders_as_0(self, coeffs):
+        p = IntPolynomial(coeffs)
+        assert (p.coeffs, str(p), format_poly(p)) == ((), "0", "0")
+        assert parse_poly(format_poly(p)) == p
 
 
 @settings(max_examples=300)

@@ -169,7 +169,11 @@ class TestPostInitValidation:
             AbelianGroup(torsion=(4, 6), free_rank=1)
 
     def test_abelian_group_normalizes(self):
-        g = AbelianGroup([2, 4], True)
+        class One:  # an integer that is not an int (a bool is refused)
+            def __index__(self):
+                return 1
+
+        g = AbelianGroup([2, 4], One())
         assert g.torsion == (2, 4) and type(g.free_rank) is int
         assert g == AbelianGroup((2, 4), 1) and hash(g) == hash(AbelianGroup((2, 4), 1))
 

@@ -414,6 +414,20 @@ class TestErrorPrecedence:
         assert type(exc.value) is error
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: count_points(E_CM, 5, n=0), "extension degree must be >= 1"),
+        (lambda: operator_local_zeta_counts(A_STD, 5, order=-1), "order must be >= 0"),
+    ],
+    ids=["count_points_n_0", "operator_order_minus_1"],
+)
+def test_size_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (ValueError, message)
+
+
 class TestCompareLocal:
     def test_p5_report(self):
         report = compare_local(E_CM, A_STD, 5, 3)
