@@ -25,6 +25,7 @@ from .exact_linalg import (
     Record,
     determinant,
     exact_int,
+    exact_int_at_least,
     exact_ints,
     mat_poly_eval,
     smith_diagonal,
@@ -238,8 +239,7 @@ def invariance_probe(
     max(n, 32)^3: trials * max(n, 32)^3 over _TRIAL_CAP * 32^3 raises
     BudgetExceeded before any work.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials, seed = exact_int_at_least(trials, 1, "trials"), exact_int(seed)
     if trials * max(a.n, 32) ** 3 > _TRIAL_CAP * 32**3:
         raise BudgetExceeded(
             f"{trials} trials at n = {a.n} is over the cap: trials * max(n, 32)^3 "

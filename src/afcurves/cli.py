@@ -200,8 +200,7 @@ def _cmd_zeta(args) -> tuple:
     curve, _model = elliptic.parse_curve_spec(args.curve)
     a = af_invariant.validate_incidence(exact_linalg.parse_matrix(args.matrix))
     primes = sorted(set(exact_linalg.parse_int_list(args.primes, "prime")))
-    if args.order < 0:
-        raise ValueError("order must be >= 0")
+    order = exact_linalg.exact_int_at_least(args.order, 0, "order")
     payload = []
     for p in primes:
         # With --order checked above and --alpha held to {-1, 0, 1} by the
@@ -209,13 +208,13 @@ def _cmd_zeta(args) -> tuple:
         try:
             if not zeta.is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            if zeta.local_bits_bound(a, p, args.order) > _PRINTABLE_BITS:
+            if zeta.local_bits_bound(a, p, order) > _PRINTABLE_BITS:
                 raise exact_linalg.BudgetExceeded(
                     f"the row at p = {p} may print integers over "
                     f"{PRINTABLE_DIGITS} digits"
                 )
             payload.append(
-                zeta.compare_local(curve, a, p, args.order, alpha=args.alpha)
+                zeta.compare_local(curve, a, p, order, alpha=args.alpha)
             )
         except ValueError as exc:
             payload.append(

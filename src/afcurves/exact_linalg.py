@@ -35,9 +35,9 @@ trace_power gives tr(M^k) from x^k modulo the characteristic polynomial
 (Cayley-Hamilton), in O(n^2 log k) big-integer products; M^k is not formed.
 
 Record, the frozen base of the package's value types, reads its fields from
-the class annotations and generates no code; the package needs no dataclasses.
-Every value type takes its integers through exact_int or exact_ints, the one
-rule for an exact integer in the package.
+the class annotations and generates no code (no dataclasses).  Value types take
+their integers through exact_int or exact_ints, and entry points their integer
+arguments through exact_int or exact_int_at_least: one rule for an integer.
 
 Everything runs on Python's arbitrary-precision integers; there is no
 floating point and no entry-size limit anywhere in this module.
@@ -119,6 +119,13 @@ def exact_int(value) -> int:
     if type(value) is bool:
         raise TypeError(f"bool {value!r} is not an integer")
     return operator.index(value)
+
+
+def exact_int_at_least(value, low: int, name: str) -> int:
+    """exact_int(value); below `low` it raises ValueError naming the argument."""
+    if (value := exact_int(value)) < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
 
 
 def exact_ints(values) -> tuple:
@@ -611,8 +618,7 @@ def is_unimodular(m: IntMatrix) -> bool:
 
 def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
     """Exact m**k for k >= 0 by binary exponentiation; m**0 is the identity."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
+    k = exact_int_at_least(k, 0, "exponent")
     result = IntMatrix.identity(m.n)
     base = m
     while k:
@@ -630,8 +636,7 @@ def trace_power(m: IntMatrix, k: int) -> int:
     With chi(x) = det(xI - m), x^k mod chi = sum r_i x^i by left-to-right
     square-and-shift (n(n+1)/2 big products a squaring), so tr(m^k) =
     sum r_i tr(m^i)."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
+    k = exact_int_at_least(k, 0, "exponent")
     n = m.n
     s, power = [n], IntMatrix.identity(n)
     for _ in range(n):
@@ -747,11 +752,9 @@ def random_glnz(n: int, steps: int = 20, seed: int = 0) -> tuple:
     Row swaps, negations, and additions with |k| <= 3 build B; each row step
     E on B is mirrored by the column step E^-1 on B^-1 (_move).
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    rng = random.Random(seed)
+    n = exact_int_at_least(n, 1, "dimension")
+    steps = exact_int_at_least(steps, 0, "steps")
+    rng = random.Random(exact_int(seed))
     b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     inv = [row[:] for row in b]
     for _ in range(steps):

@@ -29,7 +29,7 @@ import itertools
 from math import gcd, isqrt, lcm
 
 from .af_invariant import IncidenceMatrix
-from .exact_linalg import BudgetExceeded, Record, trace_power
+from .exact_linalg import BudgetExceeded, Record, exact_int, exact_int_at_least, trace_power
 
 ENUMERATION_MAX = 1_000_000
 # Mestre's theorem (Schoof 1995, Thm 3.2): above 229, E or its twist has
@@ -60,6 +60,7 @@ def is_prime(m: int) -> bool:
 
     Exact below MILLER_RABIN_BOUND; at or above it raises BudgetExceeded.
     """
+    m = exact_int(m)
     if m >= MILLER_RABIN_BOUND:
         raise BudgetExceeded(
             f"{m} is at or above {MILLER_RABIN_BOUND}, where Miller-Rabin on "
@@ -139,7 +140,7 @@ def _ec_mul(k: int, u, a: int, p: int):
 def _order_modulus(point, a: int, p: int, lo: int, hi: int) -> int:
     """A d with: for lo <= m <= hi, m * point = O exactly when d | m.
 
-    Baby steps j * point, j = 1..s, either meet O, a point of order 2 or a
+    Baby steps j * point, j = 1..s, either meet a point of order 2 or a
     repeated x (j P = -k P) and so give the exact order n at once, or prove
     n > 2s.  Then each giant step c * point, with centres c spaced 2s + 1
     apart over [lo, hi], equals O or +-j * point for at most one j, which
@@ -151,8 +152,6 @@ def _order_modulus(point, a: int, p: int, lo: int, hi: int) -> int:
     u = None
     for j in range(1, s + 1):
         u = _ec_add(u, point, a, p)
-        if u is None:
-            return j
         if u[1] == 0:
             return 2 * j
         if u[0] in baby:
@@ -339,8 +338,7 @@ def count_points(e, p: int, n: int = 1) -> int:
     recurrence, which keeps its last two terms and builds no list of counts.
     The tests hold it to the residue count and to count_points_enumerated.
     """
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
+    n = exact_int_at_least(n, 1, "extension degree")
     if n == 1:
         _check_good_odd_prime(e, p)
         if p <= RESIDUE_COUNT_MAX:
@@ -374,8 +372,7 @@ def _local_factor(a_p: int, p: int) -> tuple:
 
 def curve_local_zeta(e, p: int, order: int) -> ZetaSeries:
     """Local zeta series of the curve at p, to the given order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = exact_int_at_least(order, 0, "order")
     a_p = trace_frobenius(e, p)
     counts = list(_curve_counts(a_p, p, order))
     exp_coeffs = [1]
@@ -461,8 +458,8 @@ def local_bits_bound(a: IncidenceMatrix, p: int, order: int) -> int:
 
 def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
     """Operator counts for n = 1..order and the OperatorParams that made them."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = exact_int_at_least(order, 0, "order")
+    alpha = alpha if alpha is None else exact_int(alpha)
     tr_ap = trace_power(a.m, p)
     if not is_bad_prime(a, p):
         counts = tuple(abs(c) for c in _curve_counts(tr_ap, p, order))
@@ -482,8 +479,8 @@ def compare_local(
 ) -> LocalZetaReport:
     """Assemble both local sequences at p with per-n equality flags."""
     a_p = trace_frobenius(e, p)  # first: a bad p outranks a bad order
-    curve_counts = tuple(_curve_counts(a_p, p, order))
     operator_counts, operator_params = _operator_side(a, p, order, alpha)
+    curve_counts = tuple(_curve_counts(a_p, p, order))
     return LocalZetaReport(
         prime=p,
         curve_counts=curve_counts,

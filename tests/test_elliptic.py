@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from afcurves import elliptic
 from afcurves.af_invariant import AbelianGroup
 from afcurves.elliptic import (
     CurveQ,
@@ -244,6 +245,27 @@ class TestTorsionSubgroup:
             for q in points:
                 assert add_points(curve, p, q) in points
             assert mul_point(curve, group.exponent(), p) == INFINITY
+
+    def test_non_integral_multiple_ends_the_order_search(self, monkeypatch):
+        # y^2 = x^3 - x + 1 has trivial torsion and three Nagell-Lutz candidates,
+        # each of infinite order; leaving Z^2 stops each within a few additions
+        # (8 in all), where running on to 12P would take 33
+        candidates, additions = [], []
+
+        def order_up_to(e, p):
+            candidates.append(p)
+            return order(e, p)
+
+        def add(e, p, q):
+            additions.append(p)
+            return plus(e, p, q)
+
+        order, plus = elliptic._order_up_to, elliptic.add_points
+        monkeypatch.setattr(elliptic, "_order_up_to", order_up_to)
+        monkeypatch.setattr(elliptic, "add_points", add)
+        assert torsion_subgroup(CurveQ(-1, 1))[0] == AbelianGroup(())
+        assert len(candidates) == 3
+        assert len(additions) <= 3 * len(candidates)
 
     @pytest.mark.parametrize("curve", [CurveQ(-1, 0), CurveQ(-4, 0), CurveQ(4, 0)])
     def test_torsion_injects_into_good_reductions(self, curve):

@@ -2,14 +2,15 @@ import hashlib
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from afcurves import exact_linalg
-from afcurves.af_invariant import AbelianGroup, quotient_group
+from afcurves import af_invariant, cli, exact_linalg, zeta
+from afcurves.af_invariant import AbelianGroup, quotient_group, validate_incidence
 from afcurves.contfrac import PeriodicCF, QuadraticIrrational
 from afcurves.elliptic import CurveQ
 from afcurves.exact_linalg import (
@@ -92,13 +93,101 @@ class TestConstructors:
             (lambda: A_STD - IntMatrix.identity(3), "dimension mismatch"),
             (lambda: random_glnz(0), "dimension must be >= 1"),
             (lambda: random_glnz(2, steps=-1), "steps must be >= 0"),
+            (lambda: mat_pow(A_STD, -1), "exponent must be >= 0"),
+            (lambda: trace_power(A_STD, -1), "exponent must be >= 0"),
         ],
-        ids=["empty", "ragged", "matmul", "add", "sub", "glnz_n", "glnz_steps"],
+        ids=["empty", "ragged", "matmul", "add", "sub", "glnz_n", "glnz_steps",
+             "mat_pow_exponent", "trace_power_exponent"],
     )
     def test_shape_refusals(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
         assert (type(exc.value), str(exc.value)) == (ValueError, message)
+
+
+def _lookup_error(*args, **kwargs):
+    raise LookupError("the first worker was reached")
+
+
+# the first worker after an argument's check, as (object, name, stub); the
+# stub raises LookupError, so a check that lets a non-integer through shows
+IDENTITY = (IntMatrix, "identity", _lookup_error)
+RNG = (exact_linalg, "random", SimpleNamespace(Random=_lookup_error))
+BASE_GROUP = (af_invariant, "quotient_group", _lookup_error)
+PRIMALITY = (zeta, "is_prime", _lookup_error)
+TRACE_POWER = (zeta, "trace_power", _lookup_error)
+
+E_CM = CurveQ(-1, 0)
+INC_STD = validate_incidence(A_STD)
+# tr = 4, so tr^2 - 4 = 12 and p = 3 takes the operator's alpha branch
+INC_BAD_AT_3 = validate_incidence(IntMatrix([[2, 1, 0], [0, 1, 1], [1, 1, 1]]))
+X_MINUS_1 = IntPolynomial([-1, 1])
+
+
+def _zeta_command(order):
+    args = cli.build_parser().parse_args(["zeta", "lambda=-1", "5,2;2,1", "--primes", "5"])
+    args.order = order  # argparse's int never hands it anything else
+    return cli._cmd_zeta(args)
+
+
+# Each entry point's integer argument: (call taking it, a value it admits,
+# its first worker, or None for is_prime, whose work is all arithmetic on m).
+# compare_local checks p first (TestErrorPrecedence), so its order and alpha
+# are checked after that count and before trace_power.
+INTEGER_ARGUMENTS = {
+    "mat_pow-k": (lambda x: mat_pow(A_STD, x), 2, IDENTITY),
+    "trace_power-k": (lambda x: trace_power(A_STD, x), 3, IDENTITY),
+    "random_glnz-n": (lambda x: random_glnz(x), 2, RNG),
+    "random_glnz-steps": (lambda x: random_glnz(2, steps=x), 5, RNG),
+    "random_glnz-seed": (lambda x: random_glnz(2, seed=x), 7, RNG),
+    "probe-trials": (
+        lambda x: af_invariant.invariance_probe(INC_STD, X_MINUS_1, trials=x), 2, BASE_GROUP
+    ),
+    "probe-seed": (
+        lambda x: af_invariant.invariance_probe(INC_STD, X_MINUS_1, 2, seed=x), 3, BASE_GROUP
+    ),
+    "count_points-n": (lambda x: zeta.count_points(E_CM, 5, n=x), 2, PRIMALITY),
+    "curve_local_zeta-order": (lambda x: zeta.curve_local_zeta(E_CM, 5, x), 3, PRIMALITY),
+    "compare_local-order": (
+        lambda x: zeta.compare_local(E_CM, INC_STD, 5, x), 3, TRACE_POWER
+    ),
+    "compare_local-alpha": (
+        lambda x: zeta.compare_local(E_CM, INC_BAD_AT_3, 3, 2, alpha=x), -1, TRACE_POWER
+    ),
+    "operator_counts-order": (
+        lambda x: zeta.operator_local_zeta_counts(INC_STD, 5, x), 3, TRACE_POWER
+    ),
+    "operator_counts-alpha": (
+        lambda x: zeta.operator_local_zeta_counts(INC_BAD_AT_3, 3, 4, alpha=x), -1, TRACE_POWER
+    ),
+    "is_prime-m": (zeta.is_prime, 7, None),
+    "cli_zeta-order": (_zeta_command, 3, PRIMALITY),
+}
+
+
+class TestIntegerArguments:
+    """Every entry point's integer argument passes exact_int, or
+    exact_int_at_least where it has a lower bound, before any work."""
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2), "2"], ids=repr)
+    @pytest.mark.parametrize("call,_value,worker", INTEGER_ARGUMENTS.values(),
+                             ids=INTEGER_ARGUMENTS)
+    def test_non_integers_raise_before_any_work(self, monkeypatch, call, _value, worker, bad):
+        if worker is not None:
+            monkeypatch.setattr(*worker)
+        with pytest.raises(TypeError):
+            call(bad)
+
+    @pytest.mark.parametrize("call,value,_worker", INTEGER_ARGUMENTS.values(),
+                             ids=INTEGER_ARGUMENTS)
+    def test_index_integers_pass(self, call, value, _worker):
+        assert call(Index(value)) == call(value)
+
+    def test_reports_store_int(self):
+        report = af_invariant.invariance_probe(INC_STD, X_MINUS_1, Index(2), seed=Index(3))
+        assert (type(report.trials), type(report.seed)) == (int, int)
+        report = zeta.compare_local(E_CM, INC_BAD_AT_3, 3, 2, alpha=Index(-1))
+        assert type(report.operator_params.alpha) is int
 
 
 FIBONACCI = IntMatrix([[1, 1], [1, 0]])

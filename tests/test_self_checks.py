@@ -43,12 +43,26 @@ def test_snf_certificate_failure_raises(monkeypatch):
         ([[1, 0], [0, 1]], [[1, 0], [0, 2]], (1, 2)),
         # singular: the determinant rule passes; only is_unimodular sees det P = 2
         ([[1, 0], [0, 0]], [[1, 0], [0, 2]], (1, 0)),
+        # each of the next three breaks one clause of the Smith chain alone:
+        # negative entries, a chain 2 | 3 that does not divide, a zero first
+        ([[1, 0], [0, 2]], [[-1, 0], [0, -1]], (-1, -2)),
+        ([[2, 0], [0, 3]], [[1, 0], [0, 1]], (2, 3)),
+        ([[0, 0, 0], [0, 2, 0], [0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 2, 0)),
     ],
 )
 def test_forged_certificate_fails_verify(m, p_left, d):
-    m, p_left, q_right = IntMatrix(m), IntMatrix(p_left), IntMatrix.identity(2)
+    m, p_left = IntMatrix(m), IntMatrix(p_left)
+    q_right = IntMatrix.identity(m.n)
     assert (p_left @ m) @ q_right == IntMatrix.diagonal(d)
     assert not exact_linalg.SmithDecomposition(d, p_left, q_right).verify(m)
+
+
+def test_verify_compares_the_product_with_diag_d():
+    # (1, 2) is the Smith form of diag(2, 1) and passes the determinant rule,
+    # and P = Q = I are unimodular; only P*M*Q = diag(2, 1) != diag(1, 2) refuses
+    m, eye = IntMatrix.diagonal((2, 1)), IntMatrix.identity(2)
+    assert exact_linalg.snf(m).d == (1, 2)
+    assert not exact_linalg.SmithDecomposition((1, 2), eye, eye).verify(m)
 
 
 def test_verify_takes_transform_determinants_only_for_singular_m(monkeypatch):
