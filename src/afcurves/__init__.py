@@ -38,20 +38,15 @@ from .exact_linalg import (
     IntPolynomial,
     SmithDecomposition,
     determinant,
-    determinantal_divisors,
     is_unimodular,
     mat_poly_eval,
-    mat_pow,
-    random_glnz,
     smith_diagonal,
     snf,
-    unimodular_inverse,
 )
 from .zeta import (
     LocalZetaReport,
     compare_local,
     count_points,
-    count_points_enumerated,
     curve_local_zeta,
     operator_local_zeta_counts,
     trace_frobenius,

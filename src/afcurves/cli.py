@@ -206,8 +206,6 @@ def _cmd_zeta(args) -> tuple:
         # With --order checked above and --alpha held to {-1, 0, 1} by the
         # parser, every ValueError here concerns p alone and becomes its row.
         try:
-            if not zeta.is_prime(p):
-                raise ValueError(f"{p} is not prime")
             if zeta.local_bits_bound(a, p, order) > _PRINTABLE_BITS:
                 raise exact_linalg.BudgetExceeded(
                     f"the row at p = {p} may print integers over "

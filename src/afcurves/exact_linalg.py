@@ -178,30 +178,15 @@ class IntMatrix(Record):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, n: int) -> "IntMatrix":
-        return cls([[0] * n for _ in range(n)])
-
-    @classmethod
     def diagonal(cls, diag) -> "IntMatrix":
         diag = list(diag)
         n = len(diag)
         return cls([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         return IntMatrix(_matmul_rows(self.rows, other.rows))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
@@ -218,9 +203,6 @@ class IntMatrix(Record):
 
     def is_nonnegative(self) -> bool:
         return all(a >= 0 for row in self.rows for a in row)
-
-    def submatrix(self, row_idx, col_idx) -> "IntMatrix":
-        return IntMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
 
 
 class IntPolynomial(Record):
@@ -246,15 +228,6 @@ class IntPolynomial(Record):
     @property
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
 
     def __str__(self):
         if not self.coeffs:
@@ -719,7 +692,8 @@ def determinantal_divisors(m: IntMatrix) -> list:
         g = 0
         for rows in itertools.combinations(range(n), k):
             for cols in itertools.combinations(range(n), k):
-                g = gcd(g, determinant(m.submatrix(rows, cols)))
+                minor = IntMatrix([[m.rows[i][j] for j in cols] for i in rows])
+                g = gcd(g, determinant(minor))
         out.append(g)
     return out
 

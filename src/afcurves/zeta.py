@@ -14,9 +14,14 @@ incidence matrix A and the cardinality sequence |det(I - L_p^n)|, with the
 degenerate branch |1 - alpha^n| when p divides tr(A)^2 - 4.  tr(A^p) is
 x^p reduced modulo the characteristic polynomial of A (Cayley-Hamilton,
 exact_linalg.trace_power), O(n^2 log p) big-integer products; no A^p.
-One routine, _operator_side, takes tr(A^p) and decides the branch once;
-operator_local_zeta_counts and compare_local both read it.  local_bits_bound
-bounds the bits of compare_local's integers before tr(A^p) is taken.
+One routine, _operator_side, decides the branch once and refuses a missing
+or bad alpha before it takes tr(A^p); operator_local_zeta_counts and
+compare_local both read it.  local_bits_bound bounds the bits of
+compare_local's integers before tr(A^p) is taken.
+
+Every public function here that takes p passes it once, before any work on
+it, through _prime (or _check_good_odd_prime, which adds the curve's own
+refusals): the package's integer rule, exact_int, then primality.
 
 compare_local assembles both sequences side by side and records per-n
 equality flags without asserting them: whether the two local zetas agree
@@ -88,13 +93,23 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _check_good_odd_prime(e, p: int):
+def _prime(p) -> int:
+    """exact_int(p), refused with ValueError unless prime; private helpers
+    take the int it returns."""
+    p = exact_int(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return p
+
+
+def _check_good_odd_prime(e, p) -> int:
+    """_prime(p), refused also at 2 and where p divides e's discriminant."""
+    p = _prime(p)
     if p == 2:
         raise UnsupportedCharacteristic("p = 2 is not supported on the curve side")
     if e.disc % p == 0:
         raise BadReduction(f"p = {p} divides the discriminant {e.disc}")
+    return p
 
 
 def _count_points_prime_field(e, p: int) -> int:
@@ -291,7 +306,7 @@ def count_points_enumerated(e, p: int, n: int) -> int:
 
     The test oracle for count_points; p^n is capped at ENUMERATION_MAX.
     """
-    _check_good_odd_prime(e, p)
+    p = _check_good_odd_prime(e, p)
     if p**n > ENUMERATION_MAX:
         raise ValueError(f"p^n = {p**n} exceeds the enumeration cap {ENUMERATION_MAX}")
     if n == 1:
@@ -312,7 +327,16 @@ def count_points_enumerated(e, p: int, n: int) -> int:
 
 def trace_frobenius(e, p: int) -> int:
     """a_p = p + 1 - #E(F_p); a count breaking Hasse's a_p^2 <= 4p raises."""
-    a_p = p + 1 - count_points(e, p, 1)
+    return _trace_frobenius(e, _check_good_odd_prime(e, p))
+
+
+def _trace_frobenius(e, p: int) -> int:
+    """trace_frobenius at a checked p, from a residue count of #E(F_p) for
+    p <= RESIDUE_COUNT_MAX and a Shanks-Mestre count above."""
+    if p <= RESIDUE_COUNT_MAX:
+        a_p = p + 1 - _count_points_prime_field(e, p)
+    else:
+        a_p = p + 1 - _count_points_shanks_mestre(e, p)
     if a_p * a_p > 4 * p:
         raise RuntimeError(f"a_p = {a_p} at p = {p} breaks the Hasse bound a_p^2 <= 4p")
     return a_p
@@ -333,18 +357,15 @@ def _curve_counts(a_p: int, p: int, order: int):
 def count_points(e, p: int, n: int = 1) -> int:
     """Exact #E(F_{p^n}), infinity included.
 
-    n = 1 is a residue count for p <= RESIDUE_COUNT_MAX and a Shanks-Mestre
-    baby-step giant-step count above; n > 1 follows from a_p by the trace
-    recurrence, which keeps its last two terms and builds no list of counts.
-    The tests hold it to the residue count and to count_points_enumerated.
+    #E(F_p) is a residue count for p <= RESIDUE_COUNT_MAX and a Shanks-Mestre
+    baby-step giant-step count above, held to Hasse's bound; every n follows
+    from a_p by the trace recurrence, which keeps its last two terms and
+    builds no list of counts.  The tests hold it to the residue count and to
+    count_points_enumerated.
     """
     n = exact_int_at_least(n, 1, "extension degree")
-    if n == 1:
-        _check_good_odd_prime(e, p)
-        if p <= RESIDUE_COUNT_MAX:
-            return _count_points_prime_field(e, p)
-        return _count_points_shanks_mestre(e, p)
-    for count in _curve_counts(trace_frobenius(e, p), p, n):
+    p = _check_good_odd_prime(e, p)
+    for count in _curve_counts(_trace_frobenius(e, p), p, n):
         pass
     return count
 
@@ -373,7 +394,8 @@ def _local_factor(a_p: int, p: int) -> tuple:
 def curve_local_zeta(e, p: int, order: int) -> ZetaSeries:
     """Local zeta series of the curve at p, to the given order."""
     order = exact_int_at_least(order, 0, "order")
-    a_p = trace_frobenius(e, p)
+    p = _check_good_odd_prime(e, p)
+    a_p = _trace_frobenius(e, p)
     counts = list(_curve_counts(a_p, p, order))
     exp_coeffs = [1]
     for k in range(1, order + 1):
@@ -394,7 +416,11 @@ def curve_local_zeta(e, p: int, order: int) -> ZetaSeries:
 
 
 def is_bad_prime(a: IncidenceMatrix, p: int) -> bool:
-    """True when p divides tr(A)^2 - 4 (the degenerate operator branch)."""
+    """True when the prime p divides tr(A)^2 - 4 (the degenerate operator branch)."""
+    return _is_bad_prime(a, _prime(p))
+
+
+def _is_bad_prime(a: IncidenceMatrix, p: int) -> bool:
     t = a.m.trace()
     return (t * t - 4) % p == 0
 
@@ -413,7 +439,7 @@ def operator_local_zeta_counts(
     cardinality is a normalization choice; it is isolated here so the
     comparison reports state exactly what was computed.
     """
-    return list(_operator_side(a, p, order, alpha)[0])
+    return list(_operator_side(a, _prime(p), order, alpha)[0])
 
 
 class OperatorParams(Record):
@@ -449,6 +475,8 @@ def local_bits_bound(a: IncidenceMatrix, p: int, order: int) -> int:
     bounds the roots of x^2 - tr(A^p) x + p and the Frobenius roots, so each
     count at k <= order is at most 4 R^k.  Past 2^20 bits the floor
     p (bits(||A||) - 1) of log2 ||A||^p is returned instead of forming it."""
+    p = _prime(p)
+    order = exact_int_at_least(order, 0, "order")
     norm = max(sum(map(abs, row)) for row in a.m.rows)
     floor_bits = p * (norm.bit_length() - 1)
     if floor_bits > 2**20:
@@ -457,28 +485,31 @@ def local_bits_bound(a: IncidenceMatrix, p: int, order: int) -> int:
 
 
 def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
-    """Operator counts for n = 1..order and the OperatorParams that made them."""
+    """Operator counts for n = 1..order and the OperatorParams that made them,
+    at a checked p; the branch is decided and alpha refused before tr(A^p)."""
     order = exact_int_at_least(order, 0, "order")
     alpha = alpha if alpha is None else exact_int(alpha)
-    tr_ap = trace_power(a.m, p)
-    if not is_bad_prime(a, p):
-        counts = tuple(abs(c) for c in _curve_counts(tr_ap, p, order))
-        return counts, OperatorParams(trace_power=tr_ap, branch="good", alpha=None)
-    if alpha is None:
+    bad = _is_bad_prime(a, p)
+    if bad and alpha is None:
         raise AlphaRequired(
             f"p = {p} divides tr(A)^2 - 4; choose alpha in {{-1, 0, 1}}"
         )
-    if alpha not in (-1, 0, 1):
+    if bad and alpha not in (-1, 0, 1):
         raise ValueError("alpha must be -1, 0, or 1")
-    counts = tuple(abs(1 - alpha**n) for n in range(1, order + 1))
-    return counts, OperatorParams(trace_power=tr_ap, branch="bad", alpha=alpha)
+    tr_ap = trace_power(a.m, p)
+    if bad:
+        counts = tuple(abs(1 - alpha**n) for n in range(1, order + 1))
+        return counts, OperatorParams(trace_power=tr_ap, branch="bad", alpha=alpha)
+    counts = tuple(abs(c) for c in _curve_counts(tr_ap, p, order))
+    return counts, OperatorParams(trace_power=tr_ap, branch="good", alpha=None)
 
 
 def compare_local(
     e, a: IncidenceMatrix, p: int, order: int, alpha: int | None = None
 ) -> LocalZetaReport:
     """Assemble both local sequences at p with per-n equality flags."""
-    a_p = trace_frobenius(e, p)  # first: a bad p outranks a bad order
+    p = _check_good_odd_prime(e, p)  # first: a bad p outranks a bad order
+    a_p = _trace_frobenius(e, p)
     operator_counts, operator_params = _operator_side(a, p, order, alpha)
     curve_counts = tuple(_curve_counts(a_p, p, order))
     return LocalZetaReport(

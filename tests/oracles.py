@@ -1,0 +1,31 @@
+"""Arithmetic that only the tests' oracles need, on the package's value types
+but not part of them."""
+
+from afcurves.exact_linalg import IntMatrix, IntPolynomial, determinantal_divisors
+
+
+def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """p * q by the schoolbook convolution of the coefficients."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return IntPolynomial(out)  # trailing zeros stripped, () for a zero factor
+
+
+def mat_sum(matrices, n: int) -> IntMatrix:
+    """The entrywise sum of n x n matrices; the zero matrix when there are none."""
+    total = [[0] * n for _ in range(n)]
+    for m in matrices:
+        total = [[x + y for x, y in zip(r, s)] for r, s in zip(total, m.rows)]
+    return IntMatrix(total)
+
+
+def diagonal_from_minors(m: IntMatrix) -> tuple:
+    """The Smith diagonal read off determinantal_divisors: d_k = D_k / D_(k-1),
+    with D_0 = 1, while D_k != 0; zeros from the first D_k = 0 on."""
+    d, previous = [], 1
+    for divisor in determinantal_divisors(m):
+        d.append(divisor // previous if divisor else 0)
+        previous = divisor
+    return tuple(d)

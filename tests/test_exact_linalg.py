@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -32,6 +33,7 @@ from afcurves.exact_linalg import (
     trace_power,
     unimodular_inverse,
 )
+from oracles import diagonal_from_minors, mat_sum, poly_mul
 
 A_STD = IntMatrix([[5, 2], [2, 1]])
 
@@ -89,14 +91,13 @@ class TestConstructors:
             (lambda: IntMatrix([]), "matrix must have dimension >= 1"),
             (lambda: IntMatrix([[1, 2], [3]]), "matrix must be square"),
             (lambda: A_STD @ IntMatrix.identity(3), "dimension mismatch"),
-            (lambda: A_STD + IntMatrix.identity(1), "dimension mismatch"),
             (lambda: A_STD - IntMatrix.identity(3), "dimension mismatch"),
             (lambda: random_glnz(0), "dimension must be >= 1"),
             (lambda: random_glnz(2, steps=-1), "steps must be >= 0"),
             (lambda: mat_pow(A_STD, -1), "exponent must be >= 0"),
             (lambda: trace_power(A_STD, -1), "exponent must be >= 0"),
         ],
-        ids=["empty", "ragged", "matmul", "add", "sub", "glnz_n", "glnz_steps",
+        ids=["empty", "ragged", "matmul", "sub", "glnz_n", "glnz_steps",
              "mat_pow_exponent", "trace_power_exponent"],
     )
     def test_shape_refusals(self, call, message):
@@ -131,9 +132,11 @@ def _zeta_command(order):
 
 
 # Each entry point's integer argument: (call taking it, a value it admits,
-# its first worker, or None for is_prime, whose work is all arithmetic on m).
+# its first worker, or None for is_prime and local_bits_bound, whose work is
+# all arithmetic on their arguments).
 # compare_local checks p first (TestErrorPrecedence), so its order and alpha
-# are checked after that count and before trace_power.
+# are checked after that count and before trace_power.  A p row's worker is
+# is_prime, which the p check calls on the int that exact_int returns.
 INTEGER_ARGUMENTS = {
     "mat_pow-k": (lambda x: mat_pow(A_STD, x), 2, IDENTITY),
     "trace_power-k": (lambda x: trace_power(A_STD, x), 3, IDENTITY),
@@ -161,6 +164,19 @@ INTEGER_ARGUMENTS = {
         lambda x: zeta.operator_local_zeta_counts(INC_BAD_AT_3, 3, 4, alpha=x), -1, TRACE_POWER
     ),
     "is_prime-m": (zeta.is_prime, 7, None),
+    "count_points-p": (lambda x: zeta.count_points(E_CM, x, 2), 5, PRIMALITY),
+    "count_points_enumerated-p": (
+        lambda x: zeta.count_points_enumerated(E_CM, x, 2), 5, PRIMALITY
+    ),
+    "trace_frobenius-p": (lambda x: zeta.trace_frobenius(E_CM, x), 7, PRIMALITY),
+    "curve_local_zeta-p": (lambda x: zeta.curve_local_zeta(E_CM, x, 3), 5, PRIMALITY),
+    "compare_local-p": (lambda x: zeta.compare_local(E_CM, INC_STD, x, 3), 5, PRIMALITY),
+    "operator_counts-p": (
+        lambda x: zeta.operator_local_zeta_counts(INC_STD, x, 3), 5, PRIMALITY
+    ),
+    "is_bad_prime-p": (lambda x: zeta.is_bad_prime(INC_STD, x), 7, PRIMALITY),
+    "local_bits_bound-p": (lambda x: zeta.local_bits_bound(INC_STD, x, 3), 5, PRIMALITY),
+    "local_bits_bound-order": (lambda x: zeta.local_bits_bound(INC_STD, 5, x), 3, None),
     "cli_zeta-order": (_zeta_command, 3, PRIMALITY),
 }
 
@@ -188,6 +204,49 @@ class TestIntegerArguments:
         assert (type(report.trials), type(report.seed)) == (int, int)
         report = zeta.compare_local(E_CM, INC_BAD_AT_3, 3, 2, alpha=Index(-1))
         assert type(report.operator_params.alpha) is int
+        assert type(zeta.compare_local(E_CM, INC_STD, Index(5), 2).prime) is int
+
+    @pytest.mark.parametrize("p", [0, -1, 9])
+    @pytest.mark.parametrize(
+        "call", [row[0] for name, row in INTEGER_ARGUMENTS.items() if name.endswith("-p")],
+        ids=[name for name in INTEGER_ARGUMENTS if name.endswith("-p")],
+    )
+    def test_p_that_is_not_prime_is_refused_before_any_work(self, monkeypatch, call, p):
+        monkeypatch.setattr(*TRACE_POWER)
+        with pytest.raises(ValueError) as exc:
+            call(p)
+        assert (type(exc.value), str(exc.value)) == (ValueError, f"{p} is not prime")
+
+
+class TestBadBranchRefusals:
+    """The operator's bad branch (p | tr(A)^2 - 4) refuses a missing or bad
+    alpha before it takes tr(A^p); a valid alpha still takes it."""
+
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: zeta.operator_local_zeta_counts(INC_BAD_AT_3, 3, 2),
+             zeta.AlphaRequired, "p = 3 divides tr(A)^2 - 4; choose alpha in {-1, 0, 1}"),
+            (lambda: zeta.operator_local_zeta_counts(INC_BAD_AT_3, 3, 2, alpha=5),
+             ValueError, "alpha must be -1, 0, or 1"),
+            (lambda: zeta.compare_local(E_CM, INC_BAD_AT_3, 3, 2),
+             zeta.AlphaRequired, "p = 3 divides tr(A)^2 - 4; choose alpha in {-1, 0, 1}"),
+        ],
+        ids=["counts_no_alpha", "counts_alpha_5", "compare_no_alpha"],
+    )
+    def test_refused_before_trace_power(self, monkeypatch, call, error, message):
+        monkeypatch.setattr(*TRACE_POWER)
+        with pytest.raises(error) as exc:
+            call()
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    def test_valid_alpha_stores_the_trace_power(self, monkeypatch):
+        report = zeta.compare_local(E_CM, INC_BAD_AT_3, 3, 2, alpha=0)
+        assert report.operator_params.branch == "bad"
+        assert report.operator_params.trace_power == trace_power(INC_BAD_AT_3.m, 3)
+        monkeypatch.setattr(*TRACE_POWER)
+        with pytest.raises(LookupError, match="the first worker was reached"):
+            zeta.operator_local_zeta_counts(INC_BAD_AT_3, 3, 2, alpha=0)
 
 
 FIBONACCI = IntMatrix([[1, 1], [1, 0]])
@@ -201,15 +260,22 @@ def smith_d(m):
     return d
 
 
+def box(n, low, high):
+    """Every n x n matrix with entries in [low, high]."""
+    for entries in itertools.product(range(low, high + 1), repeat=n * n):
+        yield IntMatrix([entries[i * n:(i + 1) * n] for i in range(n)])
+
+
 class TestSnf:
     def test_reduction_of_a_minus_identity(self):
         assert smith_d(IntMatrix([[4, 2], [2, 0]])) == (2, 2)
 
     def test_zero_matrix(self):
-        dec = snf(IntMatrix.zero(2))
+        zero = IntMatrix([[0, 0], [0, 0]])
+        dec = snf(zero)
         assert dec.d == (0, 0)
-        assert dec.verify(IntMatrix.zero(2))
-        assert smith_diagonal(IntMatrix.zero(2)) == (0, 0)
+        assert dec.verify(zero)
+        assert smith_diagonal(zero) == (0, 0)
 
     def test_divisor_chain_example(self):
         # oracle: gcd of entries is 2, |det| = 8, so diagonal is (2, 4)
@@ -267,13 +333,19 @@ class TestSnf:
             prefix *= dk
             assert oracle[k] == prefix
 
+    @pytest.mark.parametrize("n,low,high", [(2, -4, 4), (3, -1, 1)], ids=["2x2", "3x3"])
+    def test_every_matrix_of_a_small_box_matches_the_minors(self, wall_bound, n, low, high):
+        with wall_bound(60):
+            for m in box(n, low, high):
+                assert smith_d(m) == diagonal_from_minors(m), m
+
     def test_rank_deficient_fibonacci_block(self):
         # x^2 - x - 1 kills the Fibonacci block, so p(A) has rank 2 of 4;
         # conjugating by B makes p(A) dense without changing its diagonal
         a = IntMatrix([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]])
         b, b_inv = random_glnz(4, steps=30, seed=3)
         pm = mat_poly_eval(X2_MINUS_X_MINUS_1, (b @ a) @ b_inv)
-        assert mat_poly_eval(X2_MINUS_X_MINUS_1, FIBONACCI) == IntMatrix.zero(2)
+        assert mat_poly_eval(X2_MINUS_X_MINUS_1, FIBONACCI) == IntMatrix([[0, 0], [0, 0]])
         assert smith_d(pm) == (2, 2, 0, 0)
         assert determinantal_divisors(pm) == [2, 4, 0, 0]
 
@@ -537,17 +609,15 @@ class TestDeterminant:
 
     @given(square_matrices(max_n=3, max_entry=9))
     def test_matches_cofactor_expansion(self, m):
-        def cofactor_det(mat):
-            n = mat.n
-            if n == 1:
-                return mat[0, 0]
-            total = 0
-            for j in range(n):
-                minor = mat.submatrix(range(1, n), [c for c in range(n) if c != j])
-                total += (-1) ** j * mat[0, j] * cofactor_det(minor)
-            return total
+        def cofactor_det(rows):
+            if len(rows) == 1:
+                return rows[0][0]
+            return sum(
+                (-1) ** j * x * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+                for j, x in enumerate(rows[0])
+            )
 
-        assert determinant(m) == cofactor_det(m)
+        assert determinant(m) == cofactor_det(m.rows)
 
 
 class TestPolynomialEvaluation:
@@ -563,7 +633,7 @@ class TestPolynomialEvaluation:
         assert mat_poly_eval(p, A_STD) == IntMatrix([[28, 12], [12, 4]])
 
     def test_zero_polynomial(self):
-        assert mat_poly_eval(IntPolynomial([]), A_STD) == IntMatrix.zero(2)
+        assert mat_poly_eval(IntPolynomial([]), A_STD) == IntMatrix([[0, 0], [0, 0]])
 
     @given(
         square_matrices(max_n=3, max_entry=5),
@@ -573,7 +643,7 @@ class TestPolynomialEvaluation:
     def test_product_factors(self, m, cp, cq):
         # polynomials in the same matrix commute, so evaluation is a ring map
         p, q = IntPolynomial(cp), IntPolynomial(cq)
-        assert mat_poly_eval(p * q, m) == mat_poly_eval(p, m) @ mat_poly_eval(q, m)
+        assert mat_poly_eval(poly_mul(p, q), m) == mat_poly_eval(p, m) @ mat_poly_eval(q, m)
 
     @given(
         square_matrices(max_n=4, max_entry=6),
@@ -589,7 +659,7 @@ class TestPolynomialEvaluation:
             IntMatrix([[c * x for x in row] for row in mat_pow(m, k).rows])
             for k, c in enumerate(coeffs)
         )
-        expected = sum(terms, IntMatrix.zero(m.n))
+        expected = mat_sum(terms, m.n)
         assert mat_poly_eval(IntPolynomial(coeffs), m) == expected
 
 
@@ -618,13 +688,13 @@ class TestTracePower:
     @example(IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 3)
     @example(IntMatrix([[0, 1], [1, 0]]), 299)  # det = -1
     @example(IntMatrix([[2, 1], [1, 0]]), 300)  # det = -1
-    @example(IntMatrix.zero(4), 0)
+    @example(IntMatrix([[0] * 4 for _ in range(4)]), 0)
     def test_matches_mat_pow(self, m, k):
         assert trace_power(m, k) == mat_pow(m, k).trace()
 
     def test_power_zero_is_dimension(self):
         for n in range(1, 6):
-            assert trace_power(IntMatrix.zero(n), 0) == n
+            assert trace_power(IntMatrix([[0] * n for _ in range(n)]), 0) == n
         assert trace_power(A_STD, 0) == 2
 
     def test_negative_exponent_rejected(self):

@@ -98,14 +98,20 @@ def test_smith_diagonal_determinant_check_raises(monkeypatch, rows, wrong_det):
         exact_linalg.smith_diagonal(exact_linalg.IntMatrix(rows))
 
 
+def _zero_matrix(cls, n):
+    """The n x n zero matrix, put in place of IntMatrix.identity so that an
+    `== I` self-check fails."""
+    return cls([[0] * n for _ in range(n)])
+
+
 def test_replayed_inverse_failure_raises(monkeypatch):
-    monkeypatch.setattr(exact_linalg.IntMatrix, "identity", classmethod(lambda cls, n: cls.zero(n)))
+    monkeypatch.setattr(exact_linalg.IntMatrix, "identity", classmethod(_zero_matrix))
     with pytest.raises(RuntimeError, match="B @ B\\^-1 == I"):
         exact_linalg.random_glnz(3, steps=5, seed=1)
 
 
 def test_smith_inverse_failure_raises(monkeypatch):
-    monkeypatch.setattr(exact_linalg.IntMatrix, "identity", classmethod(lambda cls, n: cls.zero(n)))
+    monkeypatch.setattr(exact_linalg.IntMatrix, "identity", classmethod(_zero_matrix))
     with pytest.raises(RuntimeError, match="inv @ m == I"):
         exact_linalg.unimodular_inverse(exact_linalg.IntMatrix([[2, 1], [1, 1]]))
 

@@ -4,13 +4,19 @@ caller in the package while they wait to move out of it.
 Each file of src/afcurves is parsed with ast.  A name on the list may appear
 at its own definition (its def, its recursive calls, its assignment) and in
 __init__'s `from ... import` exports; any other load, attribute or import of
-it is a use, and the test names the file and line.
+it is a use, and the test names the file and line.  The package namespace
+exports only the names the benchmark reads from it, and the value types
+carry none of the arithmetic that only the tests' oracles (tests/oracles.py)
+need.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import afcurves
+from afcurves.exact_linalg import IntMatrix, IntPolynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "afcurves"
 TEST_ONLY = {
@@ -22,6 +28,8 @@ TEST_ONLY = {
     "mul_point",
     "MAZUR_ADMISSIBLE",
 }
+# bench/oracles.py and bench/workload_cli.py read these as afcurves.<name>
+EXPORTED_FOR_THE_BENCHMARK = {"mul_point", "MAZUR_ADMISSIBLE"}
 
 
 def uses(source: str, exports_allowed: bool) -> list:
@@ -76,3 +84,16 @@ def test_no_caller_in_the_package(path):
 )
 def test_uses_sees_every_kind_of_use(source, expected):
     assert uses(source, exports_allowed=False) == expected
+
+
+def test_the_package_exports_only_what_the_benchmark_reads():
+    assert TEST_ONLY & set(vars(afcurves)) == EXPORTED_FOR_THE_BENCHMARK
+
+
+@pytest.mark.parametrize(
+    "cls,method",
+    [(IntMatrix, "zero"), (IntMatrix, "__getitem__"), (IntMatrix, "__add__"),
+     (IntMatrix, "submatrix"), (IntPolynomial, "__mul__")],
+)
+def test_value_types_carry_no_test_only_method(cls, method):
+    assert not hasattr(cls, method)
