@@ -87,10 +87,18 @@ def _text_lines(value, pad: str = ""):
 
 def _render(payload, fmt: str) -> str:
     """The whole stdout of a command; in text mode every line ends in a
-    newline, so an empty payload renders as nothing."""
-    if fmt == "json":
-        return json.dumps(encode(payload), sort_keys=True, indent=2) + "\n"
-    return "".join(line + "\n" for line in _text_lines(encode(payload, text=True)))
+    newline, so an empty payload renders as nothing.  An integer too long for
+    int-to-str conversion makes it raise BudgetExceeded."""
+    try:
+        if fmt == "json":
+            return json.dumps(encode(payload), sort_keys=True, indent=2) + "\n"
+        return "".join(line + "\n" for line in _text_lines(encode(payload, text=True)))
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise exact_linalg.BudgetExceeded(
+            f"the output has integers over {PRINTABLE_DIGITS} digits"
+        ) from exc
 
 
 def _emit_error(exc: Exception, fmt: str) -> int:

@@ -198,9 +198,6 @@ class IntMatrix(Record):
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
 
-    def is_strictly_positive(self) -> bool:
-        return all(a >= 1 for row in self.rows for a in row)
-
     def is_nonnegative(self) -> bool:
         return all(a >= 0 for row in self.rows for a in row)
 

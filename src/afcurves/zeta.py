@@ -239,70 +239,9 @@ def _count_points_shanks_mestre(e, p: int) -> int:
     )
 
 
-# --- arithmetic in F_{p^n} as polynomials modulo an irreducible ------------
-
-
-def _poly_rem(dividend: list, divisor: tuple, p: int) -> list:
-    """Remainder of dividend by monic divisor, coefficients mod p."""
-    rem = [c % p for c in dividend]
-    dn = len(divisor) - 1
-    for i in range(len(rem) - 1, dn - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(dn + 1):
-                rem[i - dn + j] = (rem[i - dn + j] - c * divisor[j]) % p
-    return rem[:dn]
-
-
-def _is_irreducible(poly: tuple, p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    n = len(poly) - 1
-    for d in range(1, n // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            divisor = low + (1,)
-            if not any(_poly_rem(list(poly), divisor, p)):
-                return False
-    return True
-
-
-def _find_irreducible(p: int, n: int) -> tuple:
-    for low in itertools.product(range(p), repeat=n):
-        if low[0] == 0:
-            continue  # divisible by x
-        poly = low + (1,)
-        if _is_irreducible(poly, p):
-            return poly
-    raise RuntimeError("an irreducible polynomial of every degree exists")
-
-
-class _PrimePowerField:
-    """Just enough F_{p^n} arithmetic to count points by enumeration."""
-
-    def __init__(self, p: int, n: int):
-        self.p = p
-        self.n = n
-        self.modulus = _find_irreducible(p, n)
-
-    def elements(self):
-        return itertools.product(range(self.p), repeat=self.n)
-
-    def mul(self, u, v):
-        conv = [0] * (2 * self.n - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    conv[i + j] += a * b
-        return tuple(_poly_rem(conv, self.modulus, self.p))
-
-    def add(self, u, v):
-        return tuple((a + b) % self.p for a, b in zip(u, v))
-
-    def scalar(self, k: int):
-        return tuple([k % self.p] + [0] * (self.n - 1))
-
-
 def count_points_enumerated(e, p: int, n: int) -> int:
-    """#E(F_{p^n}) by direct enumeration over a constructed field table.
+    """#E(F_{p^n}) by direct enumeration over F_p[x] modulo the first monic
+    irreducible of degree n, found by trial division.
 
     The test oracle for count_points; p^n is capped at ENUMERATION_MAX.
     """
@@ -311,17 +250,43 @@ def count_points_enumerated(e, p: int, n: int) -> int:
         raise ValueError(f"p^n = {p**n} exceeds the enumeration cap {ENUMERATION_MAX}")
     if n == 1:
         return _count_points_prime_field(e, p)
-    gf = _PrimePowerField(p, n)
+
+    def rem(u, monic):
+        """u modulo the monic polynomial, coefficients mod p, as a tuple."""
+        u = [c % p for c in u]
+        k = len(monic) - 1
+        for i in range(len(u) - 1, k - 1, -1):
+            c = u[i]
+            if c:
+                for j in range(k + 1):
+                    u[i - k + j] = (u[i - k + j] - c * monic[j]) % p
+        return tuple(u[:k])
+
+    for low in itertools.product(range(p), repeat=n):
+        modulus = low + (1,)
+        if all(any(rem(modulus, g + (1,))) for d in range(1, n // 2 + 1)
+               for g in itertools.product(range(p), repeat=d)):
+            break
+    else:
+        raise RuntimeError("an irreducible polynomial of every degree exists")
+
+    def mul(u, v):
+        conv = [0] * (2 * n - 1)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    conv[i + j] += a * b
+        return rem(conv, modulus)
+
     sq_count: dict = {}
-    for z in gf.elements():
-        w = gf.mul(z, z)
+    for z in itertools.product(range(p), repeat=n):
+        w = mul(z, z)
         sq_count[w] = sq_count.get(w, 0) + 1
-    a = gf.scalar(e.a)
-    b = gf.scalar(e.b)
     affine = 0
-    for x in gf.elements():
-        fx = gf.add(gf.add(gf.mul(x, gf.mul(x, x)), gf.mul(a, x)), b)
-        affine += sq_count.get(fx, 0)
+    for x in itertools.product(range(p), repeat=n):
+        fx = [c + e.a * xi for c, xi in zip(mul(x, mul(x, x)), x)]
+        fx[0] += e.b
+        affine += sq_count.get(rem(fx, modulus), 0)
     return affine + 1
 
 

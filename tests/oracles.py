@@ -29,3 +29,18 @@ def diagonal_from_minors(m: IntMatrix) -> tuple:
         d.append(divisor // previous if divisor else 0)
         previous = divisor
     return tuple(d)
+
+
+def is_strictly_positive(m: IntMatrix) -> bool:
+    """Every entry of m is >= 1."""
+    return all(a >= 1 for row in m.rows for a in row)
+
+
+def block_product(period) -> IntMatrix:
+    """The product of the blocks [[a, 1], [1, 0]] over period, one matrix
+    product a quotient, squared when it is not yet strictly positive: the
+    oracle for contfrac.incidence_from_period."""
+    m = IntMatrix.identity(2)
+    for a in period:
+        m = m @ IntMatrix([[a, 1], [1, 0]])
+    return m if is_strictly_positive(m) else m @ m

@@ -29,6 +29,7 @@ from afcurves.exact_linalg import (
     _MOVE_FACTORS,
     _poly_eval_rows,
 )
+from oracles import block_product, is_strictly_positive
 
 A_STD = IntMatrix([[5, 2], [2, 1]])
 X_MINUS_1 = IntPolynomial([-1, 1])
@@ -64,7 +65,7 @@ def _least_positive_integer_power(m):
     """Least k <= 2n^2 with m^k strictly positive, by integer powers."""
     power = m
     for k in range(1, 2 * m.n * m.n + 1):
-        if power.is_strictly_positive():
+        if is_strictly_positive(power):
             return k
         power = power @ m
     return None
@@ -73,15 +74,7 @@ def _least_positive_integer_power(m):
 def incidence_matrices():
     """Small valid incidence matrices: period-block products, squared when
     not yet strictly positive (always nonnegative, unimodular, primitive)."""
-    def build(period):
-        m = IntMatrix.identity(2)
-        for a in period:
-            m = m @ IntMatrix([[a, 1], [1, 0]])
-        if not m.is_strictly_positive():
-            m = m @ m
-        return m
-
-    return st.lists(st.integers(1, 4), min_size=1, max_size=4).map(build)
+    return st.lists(st.integers(1, 4), min_size=1, max_size=4).map(block_product)
 
 
 class TestAbelianGroup:

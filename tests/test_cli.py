@@ -38,6 +38,16 @@ def run_child(*argv, **env):
     )
 
 
+def unprintable_error(fmt):
+    """The stderr of a command whose output holds an integer over the
+    PRINTABLE_DIGITS that int-to-str conversion prints."""
+    message = f"the output has integers over {cli.PRINTABLE_DIGITS} digits"
+    if fmt == "text":
+        return f"error: BudgetExceeded: {message}\n"
+    error = {"error": "BudgetExceeded", "message": message}
+    return json.dumps(error, sort_keys=True, indent=2) + "\n"
+
+
 class TestSnfCommand:
     def test_reduction(self, capsys):
         code, payload, _ = run_json(capsys, "snf", "4,2;2,0")
@@ -116,6 +126,15 @@ class TestAbelianizeCommand:
         code, out, err = run_cli(capsys, "abelianize", "2,2;1,1", "--poly", "-1,1")
         assert code == 1
         assert "NotUnimodular" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unprintable_group_is_the_packages_refusal(self, capsys, fmt):
+        # p(A) = A^2 - A - I has ~6,000-digit entries, so the group does not print
+        big = 10**3000
+        code, out, err = run_cli(
+            capsys, "abelianize", f"{big},1;{big - 1},1", "--poly=-1,-1,1", "--format", fmt
+        )
+        assert (code, out, err) == (1, "", unprintable_error(fmt))
 
 
 class TestBowenFranksCommand:
@@ -196,6 +215,22 @@ class TestCfCommand:
             code, out, err = run_cli(capsys, "cf", "sqrt(1000000000039)")
         assert code == 1
         assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: BudgetExceeded: ")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unprintable_matrix_is_the_packages_refusal(self, capsys, wall_bound, fmt):
+        # its entries have 21,199 bits, within the bits cap but over 4,300 digits
+        with wall_bound(5):
+            code, out, err = run_cli(
+                capsys, "cf", "sqrt(1000000007)", "--matrix", "--format", fmt
+            )
+        assert (code, out, err) == (1, "", unprintable_error(fmt))
+
+    def test_over_the_bits_cap_is_one_error_line(self, capsys, wall_bound):
+        # a 124,134-term period: refused before its 212,308-bit product
+        with wall_bound(2):
+            code, out, err = run_cli(capsys, "cf", "sqrt(10000000019)", "--matrix")
+        assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: BudgetExceeded: ")
 
 

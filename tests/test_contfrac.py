@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -24,10 +25,12 @@ from afcurves.contfrac import (
     SurdParseError,
     expand,
     incidence_from_period,
+    _INCIDENCE_BITS_CAP,
     _STATE_CAP,
     parse_surd,
 )
 from afcurves.exact_linalg import BudgetExceeded, IntMatrix, IntPolynomial
+from oracles import block_product, is_strictly_positive
 
 SQRT2 = QuadraticIrrational(0, 2, 1)
 GOLDEN = QuadraticIrrational(1, 5, 2)
@@ -268,7 +271,40 @@ class TestIncidenceFromPeriod:
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=5))
     def test_always_unimodular_and_primitive(self, period):
         inc = incidence_from_period(PeriodicCF((), tuple(period)))
-        assert inc.m.is_strictly_positive() or inc.positivity_power > 1
+        assert is_strictly_positive(inc.m) or inc.positivity_power > 1
+
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=40))
+    @example([1])
+    @example([10**6])
+    def test_matches_the_block_product(self, period):
+        # the convergents against one 2 x 2 product a quotient, squared when
+        # not strictly positive; every entry within the summed-bits bound
+        m = incidence_from_period(PeriodicCF((), tuple(period))).m
+        assert m == block_product(period)
+        bound = sum((a + 1).bit_length() for a in period * (2 if len(period) == 1 else 1))
+        assert max(abs(x).bit_length() for row in m.rows for x in row) <= bound
+
+    @pytest.mark.parametrize("period,bits", [((1,), 4), ((1, 2, 3), 7), ((7, 8), 8)])
+    def test_bits_cap_is_exact(self, period, bits):
+        # a one-term period counts twice; (a + 1).bit_length() for each a
+        cf = PeriodicCF((), period)
+        with mock.patch.object(contfrac, "_INCIDENCE_BITS_CAP", bits):
+            assert incidence_from_period(cf).m == block_product(period)
+        with mock.patch.object(contfrac, "_INCIDENCE_BITS_CAP", bits - 1):
+            with pytest.raises(BudgetExceeded, match=f"over {bits - 1} bits"):
+                incidence_from_period(cf)
+
+    def test_over_the_bits_cap_refuses_before_any_product(self):
+        cf = PeriodicCF((), (10**6,) * 10**5)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=f"over {_INCIDENCE_BITS_CAP} bits"):
+            incidence_from_period(cf)
+        assert time.perf_counter() - start < 0.01
+
+    def test_the_bits_cap_admits_sqrt_100000007(self):
+        # 6,524 quotients whose summed bits bound is 18,161; its matrix prints
+        inc = incidence_from_period(expand(QuadraticIrrational(0, 100000007, 1)))
+        assert max(abs(x) for row in inc.m.rows for x in row).bit_length() == 11072
 
 
 class TestConvergent:

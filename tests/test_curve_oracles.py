@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from afcurves.af_invariant import AbelianGroup
 from afcurves.elliptic import (
     INFINITY,
+    MAZUR_ADMISSIBLE,
     CurveQ,
     Point,
     _divisors,
@@ -25,6 +26,7 @@ from afcurves.elliptic import (
     j_from_lambda,
     lambda_orbit,
     legendre_model,
+    mul_point,
     negate,
     rational_lambdas_from_j,
     torsion_subgroup,
@@ -95,6 +97,36 @@ def _small_sweep():
 def test_torsion_matches_scan_on_small_sweep():
     for curve in _small_sweep():
         assert torsion_subgroup(curve)[1] == scan_torsion_points(curve), curve
+
+
+BOX = 60  # |a|, |b| <= BOX; never shrink the box to pass
+
+
+def test_every_curve_of_a_small_box(wall_bound):
+    """All nonsingular y^2 = x^3 + ax + b with |a|, |b| <= BOX.  The integer
+    roots of x^3 + ax + b divide b (or are 0 and +-sqrt(-a) when b = 0), so
+    scanning |x| <= BOX finds them all."""
+    curves = 0
+    with wall_bound(60):
+        for a in range(-BOX, BOX + 1):
+            for b in range(-BOX, BOX + 1):
+                if 4 * a**3 + 27 * b * b == 0:
+                    continue
+                e = CurveQ(a, b)
+                group, points = torsion_subgroup(e)
+                assert group in MAZUR_ADMISSIBLE, (a, b)
+                assert len(points) == len(set(points)) == group.order(), (a, b)
+                assert points[0] == INFINITY, (a, b)
+                for pt in points[1:]:
+                    assert pt.x.denominator == pt.y.denominator == 1, (a, b, pt)
+                    assert e.contains(pt), (a, b, pt)
+                    assert mul_point(e, group.exponent(), pt) == INFINITY, (a, b, pt)
+                roots = {x for x in range(-BOX, BOX + 1) if x**3 + a * x + b == 0}
+                assert {pt.x for pt in points[1:] if pt.y == 0} == roots, (a, b)
+                two_even = len(group.torsion) == 2 and group.torsion[0] % 2 == 0
+                assert two_even == (len(roots) == 3), (a, b)
+                curves += 1
+    assert curves == 14634
 
 
 MAZUR_CURVES = {
