@@ -144,16 +144,25 @@ def parse_surd(text: str) -> QuadraticIrrational:
     text = text.strip()
     m = _SURD_SHORT.match(text)
     if m:
-        return QuadraticIrrational(0, int(m.group(1)), 1)
+        return QuadraticIrrational(0, _surd_int(m.group(1)), 1)
     m = _SURD_FULL.match(text)
     if m:
         p, sign, d, q = m.groups()
-        if int(q) == 0:
+        p, d, q = _surd_int(p), _surd_int(d), _surd_int(q)
+        if q == 0:
             raise ValueError(f"zero denominator in {text!r}")
         if sign == "-":
             # (p - sqrt(d))/q == (-p + sqrt(d))/(-q)
-            return QuadraticIrrational(-int(p), int(d), -int(q))
-        return QuadraticIrrational(int(p), int(d), int(q))
+            return QuadraticIrrational(-p, d, -q)
+        return QuadraticIrrational(p, d, q)
     raise SurdParseError(
         f"cannot parse surd {text!r}; expected (p+sqrt(d))/q or sqrt(d)"
     )
+
+
+def _surd_int(digits: str) -> int:
+    """int(digits); past the interpreter's digit limit, a SurdParseError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise SurdParseError(f"bad integer in surd: {exc}") from None

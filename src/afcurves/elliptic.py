@@ -354,7 +354,11 @@ def parse_curve_spec(text: str):
         return model.curve, model
     m = _AB_SPEC.match(text)
     if m:
-        return CurveQ(int(m.group(1)), int(m.group(2))), None
+        try:  # past the interpreter's digit limit, int() raises ValueError
+            a, b = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:
+            raise CurveSpecError(f"bad integer in curve spec: {exc}") from None
+        return CurveQ(a, b), None
     raise CurveSpecError(
         f"cannot parse curve spec {text!r}; expected lambda=<rational> or a=<int>,b=<int>"
     )

@@ -31,8 +31,11 @@ smith_diagonal also holds det M mod a fixed prime to +-prod(d).  That
 residue comes from _det_mod_q, an in-place elimination over F_q that shares
 no code with _bareiss or _smith_mod.
 
-trace_power gives tr(M^k) from x^k modulo the characteristic polynomial
-(Cayley-Hamilton), in O(n^2 log k) big-integer products; M^k is not formed.
+trace_power gives tr(M^k) without forming M^k.  The route is read off n:
+a 2 x 2 M, every incidence matrix of a continued-fraction period, takes a
+Lucas ladder on V_k(tr M, det M), one squaring and one product a bit; every
+other n reduces x^k modulo the characteristic polynomial (Cayley-Hamilton),
+in O(n^2 log k) big-integer products.
 
 Record, the frozen base of the package's value types, reads its fields from
 the class annotations and generates no code (no dataclasses).  Value types take
@@ -601,13 +604,29 @@ def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
 
 
 def trace_power(m: IntMatrix, k: int) -> int:
-    """Exact tr(m**k) for k >= 0 by Cayley-Hamilton; m**k is never formed.
+    """Exact tr(m**k) for k >= 0; m**k is never formed.
 
-    With chi(x) = det(xI - m), x^k mod chi = sum r_i x^i by left-to-right
+    A 2 x 2 m (n == 2, read off m) takes a Lucas ladder: tr(m^j) is the
+    Lucas sequence V_j(t, D) of t = tr m and D = det m, and the ladder
+    carries (V_j, V_(j+1), D^j) down the bits of k >> 1 by
+    V_2j = V_j^2 - 2 D^j and V_(2j+1) = V_j V_(j+1) - t D^j (Joye-Quisquater
+    1996), one squaring and one product a bit, then ends in one of the two,
+    so V_(k+1) is never formed.  Every other n takes Cayley-Hamilton: with
+    chi(x) = det(xI - m), x^k mod chi = sum r_i x^i by left-to-right
     square-and-shift (n(n+1)/2 big products a squaring), so tr(m^k) =
     sum r_i tr(m^i)."""
     k = exact_int_at_least(k, 0, "exponent")
     n = m.n
+    if n == 2:
+        (a, b), (c, d) = m.rows
+        t, det = a + d, a * d - b * c
+        v, w, q = 2, t, 1  # V_j, V_(j+1), D^j at j = 0
+        for bit in bin(k >> 1)[2:]:
+            if bit == "1":  # j -> 2j + 1
+                v, w, q = v * w - t * q, w * w - 2 * q * det, q * q * det
+            else:  # j -> 2j
+                v, w, q = v * v - 2 * q, v * w - t * q, q * q
+        return v * w - t * q if k & 1 else v * v - 2 * q
     s, power = [n], IntMatrix.identity(n)
     for _ in range(n):
         power = power @ m

@@ -11,13 +11,18 @@ constructed F_{p^n} table, are the tests' independent oracles.
 
 Operator side: the companion matrix L_p = [[tr(A^p), p], [-1, 0]] of an
 incidence matrix A and the cardinality sequence |det(I - L_p^n)|, with the
-degenerate branch |1 - alpha^n| when p divides tr(A)^2 - 4.  tr(A^p) is
-x^p reduced modulo the characteristic polynomial of A (Cayley-Hamilton,
-exact_linalg.trace_power), O(n^2 log p) big-integer products; no A^p.
+degenerate branch |1 - alpha^n| when p divides tr(A)^2 - 4.  tr(A^p) comes
+from exact_linalg.trace_power, which never forms A^p and picks its route
+from A's size n: a 2 x 2 A, the matrix of every continued-fraction period,
+takes a Lucas ladder on V_p(tr A, det A), one squaring and one product a bit
+of p; every other n reduces x^p modulo the characteristic polynomial of A
+(Cayley-Hamilton), O(n^2 log p) big-integer products.
 One routine, _operator_side, decides the branch once and refuses a missing
-or bad alpha before it takes tr(A^p); operator_local_zeta_counts and
-compare_local both read it.  local_bits_bound bounds the bits of
-compare_local's integers before tr(A^p) is taken.
+or bad alpha before it takes tr(A^p), and then refuses with BudgetExceeded
+when max(order, 1) * p * floor(log2 ||A||) passes 2^20 bits (||A|| the
+largest row sum); operator_local_zeta_counts and compare_local both read it.
+local_bits_bound bounds the bits of compare_local's integers before tr(A^p)
+is taken.
 
 Every public function here that takes p passes it once, before any work on
 it, through _prime (or _check_good_odd_prime, which adds the curve's own
@@ -46,6 +51,9 @@ MESTRE_MAX_POINTS = 64
 # MILLER_RABIN_BOUND (Sorenson-Webster 2017).
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+# Past this floor on the bits of the operator side's integers,
+# max(order, 1) * p * floor(log2 ||A||), it refuses before tr(A^p).
+_OPERATOR_BITS_CAP = 2**20
 
 
 class BadReduction(ValueError):
@@ -442,16 +450,23 @@ def local_bits_bound(a: IncidenceMatrix, p: int, order: int) -> int:
     p (bits(||A||) - 1) of log2 ||A||^p is returned instead of forming it."""
     p = _prime(p)
     order = exact_int_at_least(order, 0, "order")
-    norm = max(sum(map(abs, row)) for row in a.m.rows)
+    norm = _row_norm(a)
     floor_bits = p * (norm.bit_length() - 1)
-    if floor_bits > 2**20:
+    if floor_bits > _OPERATOR_BITS_CAP:
         return floor_bits
     return 2 + max(order, 1) * (a.n * norm**p + p + 1).bit_length()
 
 
+def _row_norm(a: IncidenceMatrix) -> int:
+    """||A||, the largest row sum of |entries|."""
+    return max(sum(map(abs, row)) for row in a.m.rows)
+
+
 def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
     """Operator counts for n = 1..order and the OperatorParams that made them,
-    at a checked p; the branch is decided and alpha refused before tr(A^p)."""
+    at a checked p; the branch is decided, alpha refused and the size bounded
+    before tr(A^p).  The bound is local_bits_bound's floor times max(order, 1),
+    O(n^2) to take, so ||A||^p is not formed on this path."""
     order = exact_int_at_least(order, 0, "order")
     alpha = alpha if alpha is None else exact_int(alpha)
     bad = _is_bad_prime(a, p)
@@ -461,6 +476,12 @@ def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
         )
     if bad and alpha not in (-1, 0, 1):
         raise ValueError("alpha must be -1, 0, or 1")
+    floor_bits = max(order, 1) * p * (_row_norm(a).bit_length() - 1)
+    if floor_bits > _OPERATOR_BITS_CAP:
+        raise BudgetExceeded(
+            f"at p = {p} and order {order}, max(order, 1) * p * floor(log2 ||A||)"
+            f" = {floor_bits} bits is past 2^20"
+        )
     tr_ap = trace_power(a.m, p)
     if bad:
         counts = tuple(abs(1 - alpha**n) for n in range(1, order + 1))

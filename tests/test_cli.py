@@ -427,6 +427,36 @@ class TestZetaCommand:
         }
 
 
+# past the 4,300 digits the interpreter's int() reads from text
+OVERLONG = "9" * 5000
+
+
+class TestIntegersPastTheDigitLimit:
+    """An integer too long for int() is the parser's own typed refusal, one
+    error line, not the interpreter's bare ValueError."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["cf", f"sqrt({OVERLONG})"], "SurdParseError"),
+            (["cf", f"({OVERLONG}+sqrt(2))/1"], "SurdParseError"),
+            (["torsion", f"a={OVERLONG},b=1"], "CurveSpecError"),
+            (["torsion", f"a=1,b=-{OVERLONG}"], "CurveSpecError"),
+            (["zeta", f"a={OVERLONG},b=1", "2,1;1,1", "--primes", "5"], "CurveSpecError"),
+            (["zeta", "a=-1,b=0", f"{OVERLONG},1;1,1", "--primes", "5"], "MatrixParseError"),
+        ],
+        ids=["cf_short", "cf_full", "torsion_a", "torsion_b", "zeta_curve", "zeta_matrix"],
+    )
+    def test_one_typed_error_line(self, capsys, argv, error, fmt):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        if fmt == "text":
+            assert err.count("\n") == 1 and err.startswith(f"error: {error}: ")
+        else:
+            assert json.loads(err)["error"] == error
+
+
 class TestConjectureCommand:
     def test_bundled_corpus(self, capsys):
         code, payload, _ = run_json(capsys, "conjecture", BUNDLED)

@@ -249,6 +249,37 @@ class TestBadBranchRefusals:
             zeta.operator_local_zeta_counts(INC_BAD_AT_3, 3, 2, alpha=0)
 
 
+class TestOperatorBitsBound:
+    """The operator side refuses with BudgetExceeded when max(order, 1) * p *
+    floor(log2 ||A||) passes 2^20, before tr(A^p); at or below it, tr(A^p) is
+    taken.  ||A_STD|| = 7 gives 2 bits a unit of p, so at order 3 the twin
+    primes 174,761 (6p = 1,048,566) and 174,763 (6p = 1,048,578) straddle
+    2^20 = 1,048,576, and at order 0 or 1 the primes 524,287 and 524,309."""
+
+    CALLS = {
+        "compare": lambda p, order: zeta.compare_local(E_CM, INC_STD, p, order),
+        "counts": lambda p, order: zeta.operator_local_zeta_counts(INC_STD, p, order),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize(
+        "order,admitted,refused", [(3, 174_761, 174_763), (1, 524_287, 524_309),
+                                   (0, 524_287, 524_309)],
+    )
+    def test_refused_past_the_bound_before_trace_power(
+        self, monkeypatch, name, order, admitted, refused
+    ):
+        monkeypatch.setattr(*TRACE_POWER)
+        with pytest.raises(LookupError, match="the first worker was reached"):
+            self.CALLS[name](admitted, order)
+        with pytest.raises(exact_linalg.BudgetExceeded) as exc:
+            self.CALLS[name](refused, order)
+        assert str(exc.value) == (
+            f"at p = {refused} and order {order}, max(order, 1) * p * "
+            f"floor(log2 ||A||) = {max(order, 1) * refused * 2} bits is past 2^20"
+        )
+
+
 FIBONACCI = IntMatrix([[1, 1], [1, 0]])
 X2_MINUS_X_MINUS_1 = IntPolynomial([-1, -1, 1])
 
@@ -708,6 +739,32 @@ class TestTracePower:
 
     def test_standard_matrix_at_a_large_prime(self):
         assert trace_power(A_STD, 10007) == mat_pow(A_STD, 10007).trace()
+
+    def test_two_by_two_box_on_the_lucas_ladder(self, wall_bound):
+        # all 2,401 matrices with entries in [-3, 3], det 0 and |det| > 1
+        # among them; the 1 x 1 and n >= 3 cases keep the generic route covered.
+        # The oracle is mat_pow's m^k, built here one product a step: a
+        # square-and-multiply for every k takes about five times as long.
+        with wall_bound(60):
+            for m in box(2, -3, 3):
+                power = IntMatrix.identity(2)
+                for k in range(41):
+                    assert trace_power(m, k) == power.trace(), (m, k)
+                    power = power @ m
+                assert power == mat_pow(m, 41)
+
+    @pytest.mark.parametrize("p", [20011, 29989])
+    @pytest.mark.parametrize(
+        "rows",
+        # the benchmark's four 2 x 2 incidence matrices, then A_STD
+        [[[2, 1], [1, 1]], [[3, 2], [1, 1]], [[1, 1], [1, 2]], [[2, 3], [1, 2]],
+         [[5, 2], [2, 1]]],
+        ids=["2,1;1,1", "3,2;1,1", "1,1;1,2", "2,3;1,2", "5,2;2,1"],
+    )
+    def test_incidence_matrices_at_the_benchmarks_primes(self, wall_bound, rows, p):
+        m = IntMatrix(rows)
+        with wall_bound(10):
+            assert trace_power(m, p) == mat_pow(m, p).trace()
 
 
 class TestUnimodular:
