@@ -27,6 +27,7 @@ from .exact_linalg import (
     exact_int,
     exact_int_at_least,
     exact_ints,
+    int_text,
     mat_poly_eval,
     smith_diagonal,
     _MOVE_FACTORS,
@@ -140,7 +141,7 @@ def validate_incidence(m: IntMatrix) -> IncidenceMatrix:
         raise NegativeEntry(f"incidence matrix entries must be nonnegative: {m.rows}")
     det = determinant(m)
     if abs(det) != 1:
-        raise NotUnimodular(f"|det| must be 1, got det = {det}")
+        raise NotUnimodular(f"|det| must be 1, got det = {int_text(det)}")
     n = m.n
     successors = [{j for j, x in enumerate(row) if x} for row in m.rows]
     power = successors

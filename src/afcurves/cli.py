@@ -7,9 +7,12 @@ and its exit status and writes nothing; `encode` turns the payload into JSON
 values, and text output is the sorted `key: value` rendering of the same
 payload.  `main` alone writes stdout, once, after the command and its
 rendering succeed; a refusal (always a ValueError) is one stderr report and
-exit status 1.  JSON output is byte-stable (sorted keys, rationals rendered
-p/q in lowest terms with positive denominator).  All numeric I/O is exact:
-integers and p/q rationals only.
+exit status 1.  For the whole call `main` holds the interpreter's int-to-str
+digit limit at PRINTABLE_DIGITS, whatever the environment set, so int() reads
+and str() writes integers of at most that many digits; the render turns a
+longer one into BudgetExceeded.  JSON output is byte-stable (sorted keys,
+rationals rendered p/q in lowest terms with positive denominator).  All
+numeric I/O is exact: integers and p/q rationals only.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import af_invariant, contfrac, corpus, elliptic, exact_linalg, zeta
 
 DEFAULT_SEED = 1729
 CORPUS_ENV = "AFCURVES_CORPUS"
-PRINTABLE_DIGITS = 4300  # CPython's default cap on int-to-str conversion
+PRINTABLE_DIGITS = 4300  # the digit limit main sets, CPython's default
 _PRINTABLE_BITS = (10**PRINTABLE_DIGITS).bit_length() - 1  # such ints always print
 
 
@@ -88,7 +91,8 @@ def _text_lines(value, pad: str = ""):
 def _render(payload, fmt: str) -> str:
     """The whole stdout of a command; in text mode every line ends in a
     newline, so an empty payload renders as nothing.  An integer too long for
-    int-to-str conversion makes it raise BudgetExceeded."""
+    int-to-str conversion makes it raise BudgetExceeded: the one rule for
+    what the output may hold."""
     try:
         if fmt == "json":
             return json.dumps(encode(payload), sort_keys=True, indent=2) + "\n"
@@ -117,13 +121,6 @@ def _emit_error(exc: Exception, fmt: str) -> int:
 def _cmd_snf(args) -> tuple:
     m = exact_linalg.parse_matrix(args.matrix)
     dec = exact_linalg.snf(m)
-    # m itself was read from text, so it prints; d, P and Q may not
-    rows = (dec.d, *dec.p_left.rows, *dec.q_right.rows)
-    if max(abs(x) for row in rows for x in row) >= 10**PRINTABLE_DIGITS:
-        raise exact_linalg.BudgetExceeded(
-            f"the Smith form of this {m.n} x {m.n} matrix has integers over "
-            f"{PRINTABLE_DIGITS} digits"
-        )
     return {
         "matrix": m,
         "diagonal": dec.d,
@@ -360,17 +357,22 @@ def main(argv=None) -> int:
     argv[:end] = [
         " " + t if t[:1] == "-" and t[1:2].isdigit() else t for t in argv[:end]
     ]
-    args = build_parser().parse_args(argv)
+    caller_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(PRINTABLE_DIGITS)  # restored for the caller below
     try:
-        payload, status = args.func(args)
-        out = _render(payload, args.format)
-    except ValueError as exc:  # every refusal; stdout is still untouched
-        return _emit_error(exc, args.format)
-    # one write, outside the handler; what the locale cannot encode is
-    # backslash-escaped, as CPython does on stderr (JSON is ASCII already)
-    encoding = sys.stdout.encoding or "utf-8"
-    sys.stdout.write(out.encode(encoding, "backslashreplace").decode(encoding))
-    return status
+        args = build_parser().parse_args(argv)
+        try:
+            payload, status = args.func(args)
+            out = _render(payload, args.format)
+        except ValueError as exc:  # every refusal; stdout is still untouched
+            return _emit_error(exc, args.format)
+        # one write, outside the handler; what the locale cannot encode is
+        # backslash-escaped, as CPython does on stderr (JSON is ASCII already)
+        encoding = sys.stdout.encoding or "utf-8"
+        sys.stdout.write(out.encode(encoding, "backslashreplace").decode(encoding))
+        return status
+    finally:
+        sys.set_int_max_str_digits(caller_digits)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import re
 from math import isqrt
 
 from .af_invariant import IncidenceMatrix, validate_incidence
-from .exact_linalg import BudgetExceeded, IntMatrix, Record, exact_ints
+from .exact_linalg import BudgetExceeded, IntMatrix, Record, exact_ints, int_text
 
 # States expand visits before BudgetExceeded: ~0.2 s on CPython 3.11, 2 vCPUs.
 _STATE_CAP = 1 << 18
@@ -103,7 +103,9 @@ def expand(theta: QuadraticIrrational) -> PeriodicCF:
     quotients: list = []
     while (p, q) != cycle:
         if len(quotients) == _STATE_CAP:
-            raise BudgetExceeded(f"{theta} repeats no state in its first {_STATE_CAP}")
+            # str(theta), which itself raises past the digit limit
+            text = "({}+sqrt({}))/{}".format(*map(int_text, (theta.p_num, d, theta.q_den)))
+            raise BudgetExceeded(f"{text} repeats no state in its first {_STATE_CAP}")
         if cycle is None and 0 < p <= s and s - p < q <= s + p:
             start, cycle = len(quotients), (p, q)
         a = (p + s) // q if q > 0 else (-p - s - 1) // -q

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .af_invariant import AbelianGroup
-from .exact_linalg import BudgetExceeded, Record, exact_int, to_fraction
+from .exact_linalg import BudgetExceeded, Record, exact_int, int_text, to_fraction
 
 # Steps a curve search may take before it raises BudgetExceeded instead.
 _STEP_CAP = 1 << 22
@@ -306,7 +306,9 @@ def torsion_subgroup(e: CurveQ):
     r = max(isqrt(2 * abs(a)), _icbrt(2 * abs(b))) + 1
     top = max(2 * r, _icbrt(2 * abs(d)) + 1)
     if top + r > _STEP_CAP:
-        raise BudgetExceeded(f"Nagell-Lutz window of {e} over {_STEP_CAP} values")
+        # str(e), which itself raises past the digit limit
+        curve = f"y^2 = x^3 + {int_text(a)}*x + {int_text(b)}"
+        raise BudgetExceeded(f"Nagell-Lutz window of {curve} over {_STEP_CAP} values")
     orders = {INFINITY: 1}
     for x in range(1 - r, top + 1):
         fx = (x * x + a) * x + b

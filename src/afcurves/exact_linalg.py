@@ -41,6 +41,8 @@ Record, the frozen base of the package's value types, reads its fields from
 the class annotations and generates no code (no dataclasses).  Value types take
 their integers through exact_int or exact_ints, and entry points their integer
 arguments through exact_int or exact_int_at_least: one rule for an integer.
+A refusal message names a computed integer through int_text, which gives
+its bit length where the interpreter's digit limit refuses str().
 
 Everything runs on Python's arbitrary-precision integers; there is no
 floating point and no entry-size limit anywhere in this module.
@@ -129,6 +131,16 @@ def exact_int_at_least(value, low: int, name: str) -> int:
     if (value := exact_int(value)) < low:
         raise ValueError(f"{name} must be >= {low}")
     return value
+
+
+def int_text(n: int) -> str:
+    """n as a refusal message names it: str(n) where int-to-str conversion
+    takes it, and its sign and bit length past the interpreter's digit limit,
+    so that naming a computed integer never raises an error of its own."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
 def exact_ints(values) -> tuple:

@@ -19,10 +19,11 @@ of p; every other n reduces x^p modulo the characteristic polynomial of A
 (Cayley-Hamilton), O(n^2 log p) big-integer products.
 One routine, _operator_side, decides the branch once and refuses a missing
 or bad alpha before it takes tr(A^p), and then refuses with BudgetExceeded
-when max(order, 1) * p * floor(log2 ||A||) passes 2^20 bits (||A|| the
-largest row sum); operator_local_zeta_counts and compare_local both read it.
-local_bits_bound bounds the bits of compare_local's integers before tr(A^p)
-is taken.
+when the floor max(order, 1) * p * floor(log2 ||A||) passes 2^20 bits (||A||
+the largest row sum); operator_local_zeta_counts and compare_local both read
+it.  local_bits_bound bounds the bits of compare_local's integers before
+tr(A^p) is taken, and past 2^20 returns that same floor; _operator_floor
+alone writes it.
 
 Every public function here that takes p passes it once, before any work on
 it, through _prime (or _check_good_odd_prime, which adds the curve's own
@@ -39,7 +40,8 @@ import itertools
 from math import gcd, isqrt, lcm
 
 from .af_invariant import IncidenceMatrix
-from .exact_linalg import BudgetExceeded, Record, exact_int, exact_int_at_least, trace_power
+from .exact_linalg import BudgetExceeded, Record, exact_int, exact_int_at_least
+from .exact_linalg import int_text, trace_power
 
 ENUMERATION_MAX = 1_000_000
 # Mestre's theorem (Schoof 1995, Thm 3.2): above 229, E or its twist has
@@ -76,7 +78,7 @@ def is_prime(m: int) -> bool:
     m = exact_int(m)
     if m >= MILLER_RABIN_BOUND:
         raise BudgetExceeded(
-            f"{m} is at or above {MILLER_RABIN_BOUND}, where Miller-Rabin on "
+            f"{int_text(m)} is at or above {MILLER_RABIN_BOUND}, where Miller-Rabin on "
             f"{len(MILLER_RABIN_BASES)} bases is no longer a proof"
         )
     if m < 2:
@@ -116,7 +118,7 @@ def _check_good_odd_prime(e, p) -> int:
     if p == 2:
         raise UnsupportedCharacteristic("p = 2 is not supported on the curve side")
     if e.disc % p == 0:
-        raise BadReduction(f"p = {p} divides the discriminant {e.disc}")
+        raise BadReduction(f"p = {p} divides the discriminant {int_text(e.disc)}")
     return p
 
 
@@ -253,9 +255,12 @@ def count_points_enumerated(e, p: int, n: int) -> int:
 
     The test oracle for count_points; p^n is capped at ENUMERATION_MAX.
     """
+    n = exact_int_at_least(n, 1, "extension degree")
     p = _check_good_odd_prime(e, p)
-    if p**n > ENUMERATION_MAX:
-        raise ValueError(f"p^n = {p**n} exceeds the enumeration cap {ENUMERATION_MAX}")
+    # p >= 3 > 2, so from n = ENUMERATION_MAX.bit_length() on p^n passes the
+    # cap, and only a smaller n has p^n formed
+    if n >= ENUMERATION_MAX.bit_length() or p**n > ENUMERATION_MAX:
+        raise ValueError(f"p^n = {p}^{n} exceeds the enumeration cap {ENUMERATION_MAX}")
     if n == 1:
         return _count_points_prime_field(e, p)
 
@@ -446,27 +451,28 @@ def local_bits_bound(a: IncidenceMatrix, p: int, order: int) -> int:
     """A bound on the bits of every integer in compare_local(e, a, p, order).
     |tr(A^p)| <= T = n * ||A||^p, ||A|| the largest row sum; R = T + p + 1
     bounds the roots of x^2 - tr(A^p) x + p and the Frobenius roots, so each
-    count at k <= order is at most 4 R^k.  Past 2^20 bits the floor
-    p (bits(||A||) - 1) of log2 ||A||^p is returned instead of forming it."""
+    count at k <= order is at most 4 R^k.  Past 2^20 bits the operator
+    side's floor is returned instead, and ||A||^p is not formed."""
     p = _prime(p)
     order = exact_int_at_least(order, 0, "order")
-    norm = _row_norm(a)
-    floor_bits = p * (norm.bit_length() - 1)
+    floor_bits, norm = _operator_floor(a, p, order)
     if floor_bits > _OPERATOR_BITS_CAP:
         return floor_bits
     return 2 + max(order, 1) * (a.n * norm**p + p + 1).bit_length()
 
 
-def _row_norm(a: IncidenceMatrix) -> int:
-    """||A||, the largest row sum of |entries|."""
-    return max(sum(map(abs, row)) for row in a.m.rows)
+def _operator_floor(a: IncidenceMatrix, p: int, order: int) -> tuple:
+    """max(order, 1) * p * floor(log2 ||A||), a floor on the bits of the
+    operator side's integers that is O(n^2) to take, and ||A||, the largest
+    row sum of |entries|."""
+    norm = max(sum(map(abs, row)) for row in a.m.rows)
+    return max(order, 1) * p * (norm.bit_length() - 1), norm
 
 
 def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
     """Operator counts for n = 1..order and the OperatorParams that made them,
     at a checked p; the branch is decided, alpha refused and the size bounded
-    before tr(A^p).  The bound is local_bits_bound's floor times max(order, 1),
-    O(n^2) to take, so ||A||^p is not formed on this path."""
+    before tr(A^p), on _operator_floor, so ||A||^p is not formed on this path."""
     order = exact_int_at_least(order, 0, "order")
     alpha = alpha if alpha is None else exact_int(alpha)
     bad = _is_bad_prime(a, p)
@@ -476,7 +482,7 @@ def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
         )
     if bad and alpha not in (-1, 0, 1):
         raise ValueError("alpha must be -1, 0, or 1")
-    floor_bits = max(order, 1) * p * (_row_norm(a).bit_length() - 1)
+    floor_bits, _ = _operator_floor(a, p, order)
     if floor_bits > _OPERATOR_BITS_CAP:
         raise BudgetExceeded(
             f"at p = {p} and order {order}, max(order, 1) * p * floor(log2 ||A||)"

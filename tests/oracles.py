@@ -31,6 +31,30 @@ def diagonal_from_minors(m: IntMatrix) -> tuple:
     return tuple(d)
 
 
+def det_and_rank_mod(rows, q: int) -> tuple:
+    """(det mod q, rank over F_q) of a square integer matrix given as rows,
+    by one Gaussian elimination over F_q, q prime; it shares no code with
+    the package."""
+    a = [[x % q for x in row] for row in rows]
+    n, det, rank = len(a), 1, 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if a[r][col]), None)
+        if pivot is None:
+            det = 0
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            det = -det
+        det = det * a[rank][col] % q
+        inverse = pow(a[rank][col], -1, q)
+        for r in range(rank + 1, n):
+            factor = a[r][col] * inverse % q
+            if factor:
+                a[r] = [(x - factor * y) % q for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return det % q, rank
+
+
 def is_strictly_positive(m: IntMatrix) -> bool:
     """Every entry of m is >= 1."""
     return all(a >= 1 for row in m.rows for a in row)

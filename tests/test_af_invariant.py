@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from afcurves.exact_linalg import (
     _MOVE_FACTORS,
     _poly_eval_rows,
 )
-from oracles import block_product, is_strictly_positive
+from oracles import block_product, det_and_rank_mod, is_strictly_positive
 
 A_STD = IntMatrix([[5, 2], [2, 1]])
 X_MINUS_1 = IntPolynomial([-1, 1])
@@ -279,6 +280,27 @@ def test_shift_equivalence_needs_a_unit_constant_term():
     assert groups == [AbelianGroup((8,)), AbelianGroup((4,))]
     with pytest.raises(BadConstantTerm):
         quotient_group(_product(s, r), p)
+
+
+def test_bowen_franks_quotient_of_every_4x4_zero_one_matrix(wall_bound):
+    # all 65,536 m over {0, 1}; never shrink the box to pass.  Every minor of
+    # m - I, entries in {-1, 0, 1}, is at most 16 in absolute value (Hadamard),
+    # so over F_37 the residue gives det(m - I) exactly and the rank is the
+    # rank over Q.  31,499 of the m - I are singular and take _smith.
+    q, singular = 37, 0
+    with wall_bound(60):
+        for entries in itertools.product((0, 1), repeat=16):
+            rows = [entries[i:i + 4] for i in range(0, 16, 4)]
+            det, rank = det_and_rank_mod(
+                [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)], q
+            )
+            group = quotient_group(IntMatrix(rows), X_MINUS_1)
+            if det:
+                assert (group.order(), group.free_rank) == (min(det, q - det), 0), rows
+            else:
+                singular += 1
+                assert group.free_rank == 4 - rank, rows
+    assert singular == 31_499
 
 
 @given(incidence_matrices())

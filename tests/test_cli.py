@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from afcurves import af_invariant, cli, exact_linalg, zeta
+from afcurves import af_invariant, cli, contfrac, elliptic, exact_linalg, zeta
 from afcurves.cli import main
 
 BUNDLED = str(Path(__file__).resolve().parent.parent / "data" / "cm_corpus.json")
@@ -38,14 +38,23 @@ def run_child(*argv, **env):
     )
 
 
+def error_report(fmt, name, message):
+    """The stderr of a refusal of type `name` in the given format."""
+    if fmt == "text":
+        return f"error: {name}: {message}\n"
+    return json.dumps({"error": name, "message": message}, sort_keys=True, indent=2) + "\n"
+
+
 def unprintable_error(fmt):
     """The stderr of a command whose output holds an integer over the
     PRINTABLE_DIGITS that int-to-str conversion prints."""
     message = f"the output has integers over {cli.PRINTABLE_DIGITS} digits"
-    if fmt == "text":
-        return f"error: BudgetExceeded: {message}\n"
-    error = {"error": "BudgetExceeded", "message": message}
-    return json.dumps(error, sort_keys=True, indent=2) + "\n"
+    return error_report(fmt, "BudgetExceeded", message)
+
+
+def bits_text(n):
+    """How a refusal message names an integer past the digit limit."""
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
 class TestSnfCommand:
@@ -79,11 +88,7 @@ class TestSnfCommand:
         )
         with wall_bound(60):
             code, out, err = run_cli(capsys, "snf", text)
-        assert (code, out) == (1, "")
-        assert err == (
-            "error: BudgetExceeded: the Smith form of this 48 x 48 matrix has "
-            f"integers over {cli.PRINTABLE_DIGITS} digits\n"
-        )
+        assert (code, out, err) == (1, "", unprintable_error("text"))
 
     def test_printable_cap_is_exact(self, capsys):
         # a 1 x 1 matrix prints as its own diagonal entry, so 4,300 nines
@@ -94,8 +99,7 @@ class TestSnfCommand:
         assert code == 0 and payload["diagonal"] == [int(nines)]
         a = 10 ** (cli.PRINTABLE_DIGITS - 1)
         code, out, err = run_cli(capsys, "snf", f"{a},0;0,{a + 1}")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: BudgetExceeded: the Smith form of this 2 x 2 ")
+        assert (code, out, err) == (1, "", unprintable_error("text"))
 
 
 class TestAbelianizeCommand:
@@ -391,8 +395,9 @@ class TestZetaCommand:
         assert err == "error: ValueError: order must be >= 0\n"
 
     def test_floor_branch_of_the_bits_bound(self, capsys, wall_bound):
-        # ||A|| = 7, so the floor is 2p; the first prime with 2p > 2^20 takes
-        # it, and forming 7^p (~184 KB) would show in the traced peak
+        # ||A|| = 7, so at order 3 the floor is 3 * 2p, the operator side's own;
+        # the first prime past 2^19 takes it, and forming 7^p (~184 KB) would
+        # show in the traced peak
         a = af_invariant.validate_incidence(exact_linalg.parse_matrix("5,2;2,1"))
         p = next(q for q in range(2**19 + 1, 2**20) if zeta.is_prime(q))
         tracemalloc.start()
@@ -401,7 +406,7 @@ class TestZetaCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (p, bits) == (524_309, 2 * p)
+        assert (p, bits) == (524_309, 6 * p)
         assert peak < 2**16
         with wall_bound(2):
             code, payload, _ = run_json(
@@ -433,7 +438,8 @@ OVERLONG = "9" * 5000
 
 class TestIntegersPastTheDigitLimit:
     """An integer too long for int() is the parser's own typed refusal, one
-    error line, not the interpreter's bare ValueError."""
+    error line, not the interpreter's bare ValueError; and a refusal whose
+    message names a computed integer too long for str() names its bits."""
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
@@ -455,6 +461,87 @@ class TestIntegersPastTheDigitLimit:
             assert err.count("\n") == 1 and err.startswith(f"error: {error}: ")
         else:
             assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", [["abelianize", "--poly=-1,1"], ["bowen-franks"]],
+                             ids=["abelianize", "bowen_franks"])
+    def test_a_long_determinant_is_named_by_its_bits(self, capsys, command, fmt):
+        big = 10**3000  # det = big^2 - 1 has 6,000 digits
+        argv = [command[0], f"{big},1;1,{big}", *command[1:], "--format", fmt]
+        message = f"|det| must be 1, got det = {bits_text(big * big - 1)}"
+        assert run_cli(capsys, *argv) == (1, "", error_report(fmt, "NotUnimodular", message))
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_long_discriminant_is_named_by_its_bits_in_its_row(self, capsys, fmt):
+        a = 3 * 10**1500
+        argv = ["zeta", f"a={a},b=3", "5,2;2,1", "--primes", "3", "--format", fmt]
+        message = f"p = 3 divides the discriminant {bits_text(-16 * (4 * a**3 + 27 * 9))}"
+        if fmt == "text":
+            out = f"- error: BadReduction\n  message: {message}\n  prime: 3\n"
+        else:
+            row = {"error": "BadReduction", "message": message, "prime": 3}
+            out = json.dumps([row], sort_keys=True, indent=2) + "\n"
+        assert run_cli(capsys, *argv) == (0, out, "")
+
+    def test_a_long_curve_is_named_by_its_bits(self, capsys, wall_bound):
+        lam = 10**4000  # its Legendre curve's a and b pass the digit limit
+        curve = elliptic.legendre_model(lam).curve
+        message = (
+            f"Nagell-Lutz window of y^2 = x^3 + {bits_text(curve.a)}*x + "
+            f"{bits_text(curve.b)} over {elliptic._STEP_CAP} values"
+        )
+        with wall_bound(10):
+            result = run_cli(capsys, "torsion", f"lambda={lam}")
+        assert result == (1, "", error_report("text", "BudgetExceeded", message))
+
+    def test_a_long_surd_is_named_by_its_bits(self, capsys, monkeypatch):
+        # q does not divide d - p^2, so the surd is scaled to d q^2 (4,500
+        # digits) over q^2; the expansion is cut at 8 states to reach the cap
+        monkeypatch.setattr(contfrac, "_STATE_CAP", 8)
+        p, d, q = 1, 10**2500 + 1, 10**1000 + 3
+        theta = f"({p * q}+sqrt({bits_text(d * q * q)}))/{q * q}"
+        message = f"{theta} repeats no state in its first 8"
+        result = run_cli(capsys, "cf", f"({p}+sqrt({d}))/{q}")
+        assert result == (1, "", error_report("text", "BudgetExceeded", message))
+
+
+class TestTheDigitLimitIsThePackages:
+    """main holds int() and str() to PRINTABLE_DIGITS for the whole call,
+    whatever PYTHONINTMAXSTRDIGITS or an in-process caller set, and gives the
+    caller's setting back however the call ends."""
+
+    ADMITTED = ["cf", "sqrt(5000011)", "--matrix"]  # largest entry: 2,796 digits
+    REFUSED = ["cf", "sqrt(1000000007)", "--matrix"]  # 21,199 bits, 6,382 digits
+
+    def test_a_lower_environment_limit_refuses_nothing_more(self):
+        low = run_child(*self.ADMITTED, PYTHONINTMAXSTRDIGITS="640")
+        default = run_child(
+            *self.ADMITTED, PYTHONINTMAXSTRDIGITS=str(sys.int_info.default_max_str_digits)
+        )
+        assert (low.returncode, low.stderr, default.returncode) == (0, b"", 0)
+        assert low.stdout == default.stdout
+
+    def test_no_environment_limit_admits_nothing_more(self):
+        done = run_child(*self.REFUSED, PYTHONINTMAXSTRDIGITS="0")
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr.decode("ascii") == unprintable_error("text")
+
+    @pytest.mark.parametrize("caller", [640, 0, sys.int_info.default_max_str_digits])
+    @pytest.mark.parametrize("argv,outcome", [(ADMITTED, 0), (REFUSED, 1), (["snf"], SystemExit)],
+                             ids=["success", "refusal", "argparse_exit"])
+    def test_the_callers_limit_is_restored(self, capsys, caller, argv, outcome):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(caller)
+        try:
+            if outcome is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(list(argv))
+            else:
+                assert main(list(argv)) == outcome
+            assert sys.get_int_max_str_digits() == caller
+        finally:
+            sys.set_int_max_str_digits(saved)
+        capsys.readouterr()
 
 
 class TestConjectureCommand:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -150,6 +151,9 @@ INTEGER_ARGUMENTS = {
         lambda x: af_invariant.invariance_probe(INC_STD, X_MINUS_1, 2, seed=x), 3, BASE_GROUP
     ),
     "count_points-n": (lambda x: zeta.count_points(E_CM, 5, n=x), 2, PRIMALITY),
+    "count_points_enumerated-n": (
+        lambda x: zeta.count_points_enumerated(E_CM, 5, x), 2, PRIMALITY
+    ),
     "curve_local_zeta-order": (lambda x: zeta.curve_local_zeta(E_CM, 5, x), 3, PRIMALITY),
     "compare_local-order": (
         lambda x: zeta.compare_local(E_CM, INC_STD, 5, x), 3, TRACE_POWER
@@ -278,6 +282,20 @@ class TestOperatorBitsBound:
             f"at p = {refused} and order {order}, max(order, 1) * p * "
             f"floor(log2 ||A||) = {max(order, 1) * refused * 2} bits is past 2^20"
         )
+
+    @pytest.mark.parametrize("order,refused", [(3, 174_763), (1, 524_309), (0, 524_309)])
+    def test_bits_bound_past_the_cap_is_the_floor_refused_on(self, order, refused):
+        # one formula on both sides: past 2^20 local_bits_bound returns the
+        # number the refusal above names (1,048,578 at p = 174,763, order 3),
+        # and 7^p (~0.3 MB there) is not formed
+        tracemalloc.start()
+        try:
+            bits = zeta.local_bits_bound(INC_STD, refused, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits == max(order, 1) * refused * 2
+        assert peak < 2**16
 
 
 FIBONACCI = IntMatrix([[1, 1], [1, 0]])

@@ -207,6 +207,17 @@ class TestCountPoints:
             count_points_enumerated(E_CM, 3, 13)
         assert count_points(E_CM, 3, 13) == 3**13 + 1
 
+    @pytest.mark.parametrize("n,message", [
+        (0, "extension degree must be >= 1"),
+        # 3^n alone is past the cap, so p^n, 1.6 million bits here and past
+        # the digit limit of str(), is neither formed nor named
+        (10**6, f"p^n = 3^{10**6} exceeds the enumeration cap {zeta.ENUMERATION_MAX}"),
+    ])
+    def test_enumerated_degree_is_refused_before_any_work(self, wall_bound, n, message):
+        with wall_bound(2), pytest.raises(ValueError) as exc:
+            count_points_enumerated(E_CM, 3, n)
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
+
     def test_high_degree_is_fast_and_matches_frobenius_power(self, wall_bound):
         # p^n + 1 - tr(F^n) with F = [[a_p, -p], [1, 0]], whose characteristic
         # polynomial is x^2 - a_p x + p; the recurrence keeps two terms, so
