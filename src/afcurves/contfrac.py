@@ -18,8 +18,17 @@ from math import isqrt
 from .af_invariant import IncidenceMatrix, validate_incidence
 from .exact_linalg import BudgetExceeded, IntMatrix, Record, exact_ints, int_text
 
-# States expand visits before BudgetExceeded: ~0.2 s on CPython 3.11, 2 vCPUs.
+# expand refuses with BudgetExceeded past min(_STATE_CAP, _STATE_WORK_CAP //
+# bits^2) states, bits those of the canonical radicand D: a state multiplies
+# and divides numbers of D's size, which costs about bits^2 once they pass a
+# few hundred bits, so the limit bounds the work before it starts.
+# Time to the refusal, best of 3 (CPython 3.11, 2 shared vCPUs); 42,843 bits
+# is the largest radicand the CLI reads (4,300-digit p, d and q):
+#   radicand bits      40      532    1,661   7,309   42,843   179,319
+#   states        262,144  242,804   24,908   1,286       37         2
+#   seconds          0.14     0.22     0.07    0.05     0.05      0.11
 _STATE_CAP = 1 << 18
+_STATE_WORK_CAP = 1 << 36
 # Entry bits incidence_from_period admits, bounded by the sum of (a + 1).bit_length()
 # over the period.  At the cap it takes 54 ms for 32,768 quotients 1, 24 ms for
 # 3,276 of 10^6 (best of 5, as above); sqrt(100000007) bounds 18,161 bits.
@@ -94,18 +103,20 @@ def expand(theta: QuadraticIrrational) -> PeriodicCF:
     invariant).  The first reduced state (0 < P <= s and s - P < Q <= s + P,
     s = isqrt(D)) starts the period, by Galois' theorem, and its return closes
     it; that one state is all that is kept, no table of visited states.  Past
-    _STATE_CAP states without a repeat it raises BudgetExceeded.
+    min(_STATE_CAP, _STATE_WORK_CAP // D.bit_length()**2) states without a
+    repeat it raises BudgetExceeded, so its work is bounded before it starts.
     """
     d = theta.d_rad
     s = isqrt(d)  # sqrt(d) is irrational, so s < sqrt(d) < s + 1
     p, q = theta.p_num, theta.q_den
     start, cycle = 0, None
     quotients: list = []
+    cap = min(_STATE_CAP, _STATE_WORK_CAP // d.bit_length() ** 2)
     while (p, q) != cycle:
-        if len(quotients) == _STATE_CAP:
+        if len(quotients) == cap:
             # str(theta), which itself raises past the digit limit
             text = "({}+sqrt({}))/{}".format(*map(int_text, (theta.p_num, d, theta.q_den)))
-            raise BudgetExceeded(f"{text} repeats no state in its first {_STATE_CAP}")
+            raise BudgetExceeded(f"{text} repeats no state in its first {cap}")
         if cycle is None and 0 < p <= s and s - p < q <= s + p:
             start, cycle = len(quotients), (p, q)
         a = (p + s) // q if q > 0 else (-p - s - 1) // -q

@@ -25,7 +25,7 @@ from .af_invariant import (
     validate_incidence,
 )
 from .contfrac import QuadraticIrrational, expand, incidence_from_period, parse_surd
-from .elliptic import CurveQ, legendre_model, torsion_subgroup
+from .elliptic import CurveQ, legendre_model, to_fraction, torsion_subgroup
 from .exact_linalg import (
     IntPolynomial,
     Record,
@@ -33,7 +33,6 @@ from .exact_linalg import (
     parse_int_list,
     parse_matrix,
     parse_poly,
-    to_fraction,
 )
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .af_invariant import AbelianGroup
-from .exact_linalg import BudgetExceeded, Record, exact_int, int_text, to_fraction
+from .exact_linalg import BudgetExceeded, Record, exact_int, int_text
 
 # Steps a curve search may take before it raises BudgetExceeded instead.
 _STEP_CAP = 1 << 22
@@ -37,6 +37,22 @@ class PointNotOnCurve(ValueError):
 
 class CurveSpecError(ValueError):
     pass
+
+
+def to_fraction(value) -> Fraction:
+    """Fraction(value) for an int, a Fraction or a `p/q` string; a float, or
+    a bool by exact_int, raises TypeError rather than pass as its binary
+    expansion or 0/1, and text that is not a rational raises ValueError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(exact_int(value))
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not an int, Fraction or 'p/q'")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:  # from 'p/0'; every refusal is a ValueError
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def _check_lambda(lam) -> Fraction:

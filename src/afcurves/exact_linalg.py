@@ -53,7 +53,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from fractions import Fraction
 from math import gcd, prod
 
 
@@ -150,22 +149,6 @@ def exact_ints(values) -> tuple:
     if not {int}.issuperset(map(type, values)):
         values = tuple(map(exact_int, values))
     return values
-
-
-def to_fraction(value) -> Fraction:
-    """Fraction(value) for an int, a Fraction or a `p/q` string; a float, or
-    a bool by exact_int, raises TypeError rather than pass as its binary
-    expansion or 0/1, and text that is not a rational raises ValueError."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(exact_int(value))
-    if isinstance(value, float):
-        raise TypeError(f"float {value!r} is not an int, Fraction or 'p/q'")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:  # from 'p/0'; every refusal is a ValueError
-        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 class IntMatrix(Record):

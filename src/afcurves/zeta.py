@@ -23,7 +23,9 @@ when the floor max(order, 1) * p * floor(log2 ||A||) passes 2^20 bits (||A||
 the largest row sum); operator_local_zeta_counts and compare_local both read
 it.  local_bits_bound bounds the bits of compare_local's integers before
 tr(A^p) is taken, and past 2^20 returns that same floor; _operator_floor
-alone writes it.
+alone writes it.  On the curve side, curve_local_zeta refuses with
+BudgetExceeded before its exp series when order^2 * p.bit_length() passes
+2^21.
 
 Every public function here that takes p passes it once, before any work on
 it, through _prime (or _check_good_odd_prime, which adds the curve's own
@@ -56,6 +58,14 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 # Past this floor on the bits of the operator side's integers,
 # max(order, 1) * p * floor(log2 ||A||), it refuses before tr(A^p).
 _OPERATOR_BITS_CAP = 2**20
+# Past this size of curve_local_zeta's series, order^2 * p.bit_length() (about
+# twice the bits of its coefficients: the k-th has k * log2 p bits and takes k
+# products), it refuses before the series.  Time at the largest admitted order
+# (y^2 = x^3 - x + 1, best of 3, CPython 3.11, 2 shared vCPUs):
+#   p         3      5    1009   65537   10^6+3   10^9+7   10^12+39
+#   order  1024    836     457     351      323      264        228
+#   s      0.25   0.21    0.25    0.21     0.23     0.21       0.22
+_SERIES_BITS_CAP = 2**21
 
 
 class BadReduction(ValueError):
@@ -373,6 +383,11 @@ def curve_local_zeta(e, p: int, order: int) -> ZetaSeries:
     """Local zeta series of the curve at p, to the given order."""
     order = exact_int_at_least(order, 0, "order")
     p = _check_good_odd_prime(e, p)
+    if (size := order * order * p.bit_length()) > _SERIES_BITS_CAP:
+        raise BudgetExceeded(
+            f"at p = {p} and order {order}, order^2 * p.bit_length() = {size} "
+            "is past 2^21"
+        )
     a_p = _trace_frobenius(e, p)
     counts = list(_curve_counts(a_p, p, order))
     exp_coeffs = [1]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from afcurves import af_invariant, cli, contfrac, elliptic, exact_linalg, zeta
+from afcurves import af_invariant, contfrac, elliptic, exact_linalg, shell, zeta
 from afcurves.cli import main
 
 BUNDLED = str(Path(__file__).resolve().parent.parent / "data" / "cm_corpus.json")
@@ -48,7 +48,7 @@ def error_report(fmt, name, message):
 def unprintable_error(fmt):
     """The stderr of a command whose output holds an integer over the
     PRINTABLE_DIGITS that int-to-str conversion prints."""
-    message = f"the output has integers over {cli.PRINTABLE_DIGITS} digits"
+    message = f"the output has integers over {shell.PRINTABLE_DIGITS} digits"
     return error_report(fmt, "BudgetExceeded", message)
 
 
@@ -94,10 +94,10 @@ class TestSnfCommand:
         # a 1 x 1 matrix prints as its own diagonal entry, so 4,300 nines
         # print; diag(a, a + 1) with coprime 4,300-digit a has d_2 = a (a + 1),
         # near 8,600 digits, though every entry of P and Q prints
-        nines = "9" * cli.PRINTABLE_DIGITS
+        nines = "9" * shell.PRINTABLE_DIGITS
         code, payload, _ = run_json(capsys, "snf", nines)
         assert code == 0 and payload["diagonal"] == [int(nines)]
-        a = 10 ** (cli.PRINTABLE_DIGITS - 1)
+        a = 10 ** (shell.PRINTABLE_DIGITS - 1)
         code, out, err = run_cli(capsys, "snf", f"{a},0;0,{a + 1}")
         assert (code, out, err) == (1, "", unprintable_error("text"))
 
@@ -727,7 +727,7 @@ class TestOneStdoutWrite:
         def refuse(value, text=False):
             raise ValueError("cannot render")
 
-        monkeypatch.setattr(cli, "encode", refuse)
+        monkeypatch.setattr(shell, "encode", refuse)
         assert run_cli(capsys, "snf", "4,2;2,0") == (
             1, "", "error: ValueError: cannot render\n"
         )

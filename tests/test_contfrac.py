@@ -27,6 +27,7 @@ from afcurves.contfrac import (
     incidence_from_period,
     _INCIDENCE_BITS_CAP,
     _STATE_CAP,
+    _STATE_WORK_CAP,
     parse_surd,
 )
 from afcurves.exact_linalg import BudgetExceeded, IntMatrix, IntPolynomial
@@ -235,6 +236,24 @@ class TestExpand:
         with wall_bound(2):
             with pytest.raises(BudgetExceeded, match=f"first {_STATE_CAP}"):
                 expand(QuadraticIrrational(0, 10**12 + 39, 1))
+
+    @pytest.mark.parametrize(
+        "p,d,q,cap",
+        [
+            # a 7,309-bit radicand over (10^500 + 3)^2: 10 s to its refusal
+            # under the state cap alone
+            (1, 10**1200 + 1, 10**500 + 3, 1286),
+            # 179,319 bits, past anything the CLI reads: a state costs ~40 ms
+            (1, 3**60000 + 2, 7**15000 + 2, 2),
+        ],
+        ids=["7309-bit", "179319-bit"],
+    )
+    def test_a_long_radicand_refuses_on_states_times_squared_bits(self, wall_bound, p, d, q, cap):
+        theta = QuadraticIrrational(p, d, q)
+        assert _STATE_WORK_CAP // theta.d_rad.bit_length() ** 2 == cap < _STATE_CAP
+        with wall_bound(2):
+            with pytest.raises(BudgetExceeded, match=f"repeats no state in its first {cap}$"):
+                expand(theta)
 
 
 class TestIncidenceFromPeriod:

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from afcurves import af_invariant, cli, exact_linalg, zeta
+from afcurves import af_invariant, exact_linalg, shell, zeta
 from afcurves.af_invariant import AbelianGroup, quotient_group, validate_incidence
 from afcurves.contfrac import PeriodicCF, QuadraticIrrational
 from afcurves.elliptic import CurveQ
@@ -127,9 +127,9 @@ X_MINUS_1 = IntPolynomial([-1, 1])
 
 
 def _zeta_command(order):
-    args = cli.build_parser().parse_args(["zeta", "lambda=-1", "5,2;2,1", "--primes", "5"])
+    args = shell.build_parser().parse_args(["zeta", "lambda=-1", "5,2;2,1", "--primes", "5"])
     args.order = order  # argparse's int never hands it anything else
-    return cli._cmd_zeta(args)
+    return shell._cmd_zeta(args)
 
 
 # Each entry point's integer argument: (call taking it, a value it admits,

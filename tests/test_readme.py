@@ -1,6 +1,6 @@
 """Every one-line `afcurves ...` example in README's `sh` blocks runs.
 
-Each command goes through cli.main in-process, from the repository root,
+Each command goes through afcurves.shell.main in-process, from the repository root,
 and must exit 0.  Lines holding `$` need a shell (loops, variables) and are
 left out.
 """
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from afcurves.cli import build_parser, main
+from afcurves.shell import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -310,6 +310,20 @@ class TestCurveLocalZeta:
             assert zs.numerator == (1, -zs.a_p, p)
             assert zs.denominator == (1, -(1 + p), p)
 
+    @pytest.mark.parametrize("order", [458, 3000])
+    def test_a_large_order_is_refused_before_the_series(self, wall_bound, order):
+        # the series is O(order^2) products of growing integers: over 120 s
+        # at order 3000 when unbounded; 457 is the largest order admitted here
+        message = (f"at p = 1009 and order {order}, order^2 * p.bit_length() = "
+                   f"{order * order * 10} is past 2^21")
+        with wall_bound(1), pytest.raises(BudgetExceeded) as exc:
+            curve_local_zeta(E_CM, 1009, order)
+        assert str(exc.value) == message
+
+    def test_the_largest_admitted_order_runs(self):
+        zs = curve_local_zeta(E_CM, 1009, 457)
+        assert len(zs.exp_coefficients) == 458
+
 
 class TestLpMatrix:
     @pytest.mark.parametrize(
