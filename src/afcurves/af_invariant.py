@@ -7,8 +7,8 @@ of p(A) that exact_linalg.smith_diagonal gives (its route and checks are in
 exact_linalg's docstring).  The group is unchanged by GL_n(Z) conjugation of
 A, which the probe harness checks on random conjugates made by elementary
 moves on a copy of A (no B), one 64-bit draw a move, read off a table of
-moves built once a probe; each move is exact_linalg._move, the step
-random_glnz also builds B from.  A trial stays on plain lists of rows and
+moves built once a probe and applied by exact_linalg._moves, which
+random_glnz also builds B with.  A trial stays on plain lists of rows and
 builds no record: it compares the Smith diagonal of p(A'), with every check
 smith_diagonal makes, as a tuple with the base diagonal, which is group
 equality because the Smith form is canonical.
@@ -31,13 +31,13 @@ from .exact_linalg import (
     mat_poly_eval,
     smith_diagonal,
     _MOVE_FACTORS,
-    _move,
+    _moves,
     _poly_eval_rows,
     _smith_diagonal,
 )
 
-# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 5.7-7.2 s
-# at n = 32, p = x - 1 (1.4-1.8 ms a trial; CPython 3.11.7, 2 shared vCPUs) on
+# Conjugates invariance_probe tries at n <= 32 before BudgetExceeded: 5.1-6.9 s
+# at n = 32, p = x - 1 (1.3-1.7 ms a trial; CPython 3.11.7, 2 shared vCPUs) on
 # bench/common.incidence_text(Random(s), 32, 16), s = 1-3.  One rule holds
 # every n to that work: trials * max(n, 32)^3 <= _TRIAL_CAP * 32^3.
 _TRIAL_CAP = 4096
@@ -195,7 +195,7 @@ class ProbeReport(Record):
 
 
 def _move_table(n: int) -> tuple:
-    """Every move (op, i, j, k) of _move on n x n rows, at the index whose
+    """Every move (op, i, j, k) of _moves on n x n rows, at the index whose
     mixed-radix digits, op (3) fastest, then i (n), j (n - 1, shifted past
     i) and k's place in _MOVE_FACTORS (6), name it: 18 n (n - 1) moves.  At
     n = 1 the one move negates."""
@@ -212,7 +212,8 @@ def _move_table(n: int) -> tuple:
 
 def _conjugate_rows(rows, rng: random.Random, table: tuple) -> list:
     """B m B^-1 as a new list of rows, for the rows of m and table =
-    _move_table(n); B is a product of 20 elementary moves (exact_linalg._move).
+    _move_table(n); B is a product of 20 elementary moves, applied in one
+    exact_linalg._moves call.
 
     Each move is one rng.getrandbits(64), r, read as table[r % len(table)]:
     the digits op, i, j, k of r taken by divmod, so its bias is below
@@ -220,8 +221,7 @@ def _conjugate_rows(rows, rng: random.Random, table: tuple) -> list:
     """
     c = [list(row) for row in rows]
     size, draw = len(table), rng.getrandbits
-    for op, i, j, k in [table[draw(64) % size] for _ in range(20)]:
-        _move(c, c, op, i, j, k)
+    _moves(c, c, [table[draw(64) % size] for _ in range(20)])
     return c
 
 

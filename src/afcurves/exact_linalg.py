@@ -1,7 +1,7 @@
 """Exact integer matrix arithmetic: Smith normal form, fraction-free
 determinants, polynomial evaluation at a matrix, and a seeded GL_n(Z)
-generator of (B, B^-1) pairs for tests; _move is its elementary move step,
-and the invariance probe conjugates A in place with the same step.
+generator of (B, B^-1) pairs for tests; _moves applies its elementary moves,
+and the invariance probe conjugates A in place with the same applier.
 
 snf gives the Smith form with its transforms.  Its reduction, _smith,
 reduces the leading n x n block of a list of rows, and whatever the rows
@@ -269,11 +269,13 @@ class SmithDecomposition(Record):
 def _smith_diagonal_matches(d, det: int) -> bool:
     """d is a Smith chain (positive entries, each dividing the next, then
     zeros) with prod(d) == |det|, or, when det == 0, one that ends in 0."""
-    nonzero = [x for x in d if x != 0]
+    r = len(d)
+    while r and d[r - 1] == 0:
+        r -= 1
+    head = d[:r]  # a zero inside it fails the min
     return (
-        list(d) == nonzero + [0] * (len(d) - len(nonzero))
-        and all(x >= 1 for x in nonzero)
-        and all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+        min(head, default=1) >= 1
+        and all(b % a == 0 for a, b in zip(head, head[1:]))
         and (prod(d) == abs(det) if det else d[-1] == 0)
     )
 
@@ -331,14 +333,15 @@ def _det_mod_q(rows) -> int:
 
     Column k takes as its pivot the first row from k down whose entry there
     is nonzero, swapped up (det -> q - det); det takes the pivot, and each
-    row below takes one multiply-subtract of the pivot row, by its entry
-    over the pivot.
+    row below adds f times the pivot row, f its entry times -1/pivot, so
+    every sum is of residues.  The last pivot only multiplies det: n - 1
+    inverses in all.
     """
     q = _CHECK_PRIME
     a = [[x % q for x in row] for row in rows]
     n = len(a)
     det = 1
-    for k in range(n):
+    for k in range(n - 1):
         top = a[k]
         if not top[k]:
             for r in range(k + 1, n):
@@ -351,14 +354,14 @@ def _det_mod_q(rows) -> int:
                 return 0
         pivot = top[k]
         det = det * pivot % q
-        inv = pow(pivot, -1, q)
+        neg_inv = q - pow(pivot, -1, q)
         for i in range(k + 1, n):
             row = a[i]
-            f = row[k] * inv % q
+            f = row[k] * neg_inv % q
             if f:
                 for j in range(k + 1, n):
-                    row[j] = (row[j] - f * top[j]) % q
-    return det
+                    row[j] = (row[j] + f * top[j]) % q
+    return det * a[-1][-1] % q
 
 
 def _eliminate(a, i, j, modulus) -> None:
@@ -660,8 +663,9 @@ def _poly_eval_rows(c, rows) -> list:
     n = len(rows)
     if len(c) < 2:
         return [[c[0] if c and i == j else 0 for j in range(n)] for i in range(n)]
-    acc = [[c[-1] * x + c[-2] * (i == j) for j, x in enumerate(row)]
-           for i, row in enumerate(rows)]
+    acc = [[c[-1] * x for x in row] for row in rows]
+    for i in range(n):
+        acc[i][i] += c[-2]
     for coeff in reversed(c[:-2]):
         acc = _matmul_rows(acc, rows)
         for i in range(n):
@@ -712,40 +716,50 @@ def determinantal_divisors(m: IntMatrix) -> list:
 _MOVE_FACTORS = (-3, -2, -1, 1, 2, 3)  # the k of an add move
 
 
-def _move(left: list, right: list, op: int, i: int, j: int, k: int) -> None:
-    """One elementary GL_n(Z) move E in place: its row step on the rows `left`
-    (op 0 swaps rows i, j; op 1 negates row i; op 2 adds k * row j to row i),
-    then the column step of E^-1 on `right`.  left = B, right = B^-1 keeps the
-    pair inverse; left = right = M makes E M E^-1."""
-    if op == 0:
-        left[i], left[j] = left[j], left[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-    elif op == 1:
-        left[i] = [-x for x in left[i]]
-        for row in right:
-            row[i] = -row[i]
-    else:
-        left[i] = [x + k * y for x, y in zip(left[i], left[j])]
-        for row in right:
-            row[j] -= k * row[i]
+def _moves(left: list, right: list, moves) -> None:
+    """Elementary GL_n(Z) moves (op, i, j, k), in order and in place: each
+    move E takes its row step on the square rows `left` (op 0 swaps rows i,
+    j; op 1 negates row i; op 2 adds k * row j to row i), then the column
+    step of E^-1 on `right`.  left = B, right = B^-1 keeps the pair inverse;
+    left = right = M makes E M E^-1.  The rows of `left` are distinct lists,
+    changed in place."""
+    cols = range(len(left))
+    for op, i, j, k in moves:
+        if op == 0:
+            left[i], left[j] = left[j], left[i]
+            for row in right:
+                row[i], row[j] = row[j], row[i]
+        elif op == 1:
+            row_i = left[i]
+            for t in cols:
+                row_i[t] = -row_i[t]
+            for row in right:
+                row[i] = -row[i]
+        else:
+            row_i, row_j = left[i], left[j]
+            for t in cols:
+                row_i[t] += k * row_j[t]
+            for row in right:
+                row[j] -= k * row[i]
 
 
 def random_glnz(n: int, steps: int = 20, seed: int = 0) -> tuple:
     """Seeded (B, B^-1), B a product of `steps` random elementary matrices.
 
     Row swaps, negations, and additions with |k| <= 3 build B; each row step
-    E on B is mirrored by the column step E^-1 on B^-1 (_move).
+    E on B is mirrored by the column step E^-1 on B^-1 (_moves).
     """
     n = exact_int_at_least(n, 1, "dimension")
     steps = exact_int_at_least(steps, 0, "steps")
     rng = random.Random(exact_int(seed))
     b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     inv = [row[:] for row in b]
+    moves = []
     for _ in range(steps):
         op = rng.randrange(3) if n > 1 else 1
         i, j = rng.sample(range(n), 2) if op != 1 else (rng.randrange(n), 0)
-        _move(b, inv, op, i, j, rng.choice(_MOVE_FACTORS) if op == 2 else 0)
+        moves.append((op, i, j, rng.choice(_MOVE_FACTORS) if op == 2 else 0))
+    _moves(b, inv, moves)
     b, inv = IntMatrix(b), IntMatrix(inv)
     if b @ inv != IntMatrix.identity(n):
         raise RuntimeError("replayed inverse failed B @ B^-1 == I")

@@ -25,7 +25,8 @@ it.  local_bits_bound bounds the bits of compare_local's integers before
 tr(A^p) is taken, and past 2^20 returns that same floor; _operator_floor
 alone writes it.  On the curve side, curve_local_zeta refuses with
 BudgetExceeded before its exp series when order^2 * p.bit_length() passes
-2^21.
+2^21, and count_points before its count when n^2 * p.bit_length() passes
+2^31.
 
 Every public function here that takes p passes it once, before any work on
 it, through _prime (or _check_good_odd_prime, which adds the curve's own
@@ -66,6 +67,14 @@ _OPERATOR_BITS_CAP = 2**20
 #   order  1024    836     457     351      323      264        228
 #   s      0.25   0.21    0.25    0.21     0.23     0.21       0.22
 _SERIES_BITS_CAP = 2**21
+# Past this size of count_points' recurrence, n^2 * p.bit_length() (its k-th
+# step takes linear products on k * log2 p bits), it refuses before counting.
+# Time at the largest admitted n (y^2 = x^3 - x + 1, best of 3, CPython 3.11,
+# 2 shared vCPUs):
+#   p         3      5    1009   65537   10^6+3   10^9+7   10^12+39
+#   n     32768  26754   14654   11239    10362     8460       7327
+#   s      0.14   0.14    0.16    0.15     0.16     0.18       0.25
+_COUNT_BITS_CAP = 2**31
 
 
 class BadReduction(ValueError):
@@ -348,11 +357,16 @@ def count_points(e, p: int, n: int = 1) -> int:
     #E(F_p) is a residue count for p <= RESIDUE_COUNT_MAX and a Shanks-Mestre
     baby-step giant-step count above, held to Hasse's bound; every n follows
     from a_p by the trace recurrence, which keeps its last two terms and
-    builds no list of counts.  The tests hold it to the residue count and to
-    count_points_enumerated.
+    builds no list of counts; past n^2 * p.bit_length() = 2^31 it raises
+    BudgetExceeded before the count.  The tests hold it to the residue count
+    and to count_points_enumerated.
     """
     n = exact_int_at_least(n, 1, "extension degree")
     p = _check_good_odd_prime(e, p)
+    if (size := n * n * p.bit_length()) > _COUNT_BITS_CAP:
+        raise BudgetExceeded(
+            f"at p = {p} and n = {n}, n^2 * p.bit_length() = {size} is past 2^31"
+        )
     for count in _curve_counts(_trace_frobenius(e, p), p, n):
         pass
     return count
@@ -408,12 +422,8 @@ def curve_local_zeta(e, p: int, order: int) -> ZetaSeries:
     return ZetaSeries(p, a_p, tuple(exp_coeffs), closed, numerator, denominator)
 
 
-def is_bad_prime(a: IncidenceMatrix, p: int) -> bool:
-    """True when the prime p divides tr(A)^2 - 4 (the degenerate operator branch)."""
-    return _is_bad_prime(a, _prime(p))
-
-
 def _is_bad_prime(a: IncidenceMatrix, p: int) -> bool:
+    """True when the prime p divides tr(A)^2 - 4 (the degenerate operator branch)."""
     t = a.m.trace()
     return (t * t - 4) % p == 0
 

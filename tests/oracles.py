@@ -1,6 +1,8 @@
 """Arithmetic that only the tests' oracles need, on the package's value types
 but not part of them."""
 
+from math import prod
+
 from afcurves.exact_linalg import IntMatrix, IntPolynomial, determinantal_divisors
 
 
@@ -29,6 +31,26 @@ def diagonal_from_minors(m: IntMatrix) -> tuple:
         d.append(divisor // previous if divisor else 0)
         previous = divisor
     return tuple(d)
+
+
+def smith_chain_matches(d, det: int) -> bool:
+    """The Smith-chain rule as a padded copy and comprehensions: d is its
+    nonzero entries followed by zeros, those entries are >= 1 and each
+    divides the next, and prod(d) == |det|, or d ends in 0 when det == 0."""
+    nonzero = [x for x in d if x != 0]
+    return (
+        list(d) == nonzero + [0] * (len(d) - len(nonzero))
+        and all(x >= 1 for x in nonzero)
+        and all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+        and (prod(d) == abs(det) if det else d[-1] == 0)
+    )
+
+
+def trace_discriminant_mod(m: IntMatrix, p: int) -> int:
+    """(tr(m)^2 - 4) mod p: 0 exactly where p takes the operator side's
+    degenerate branch."""
+    t = sum(m.rows[i][i] for i in range(m.n))
+    return (t * t - 4) % p
 
 
 def det_and_rank_mod(rows, q: int) -> tuple:

@@ -43,9 +43,9 @@ from afcurves.exact_linalg import (
     snf,
 )
 from afcurves.zeta import (
+    _is_bad_prime,
     compare_local,
     curve_local_zeta,
-    is_bad_prime,
     is_prime,
     operator_local_zeta_counts,
     trace_frobenius,
@@ -220,7 +220,7 @@ def test_criterion_08_operator_side_consistency():
                 direct = determinant(IntMatrix.identity(2) - mat_pow(lp, n))
                 assert counts[n - 1] == abs(direct)
         # tr(A)^2 - 4 = 32: the degenerate branch fires exactly at p = 2
-        bad = [p for p in range(2, 100) if is_prime(p) and is_bad_prime(a_std, p)]
+        bad = [p for p in range(2, 100) if is_prime(p) and _is_bad_prime(a_std, p)]
         assert bad == [2]
 
 

@@ -468,7 +468,7 @@ class TestConjugate:
     """The probe's in-place moves against B A B^-1 with B rebuilt from the
     same draws; a wrong move would otherwise show only as probe failures."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_is_b_a_b_inverse(self, n):
         m = IntMatrix([[(3 * i + 5 * j) % 7 - 2 for j in range(n)] for i in range(n)])
         moved, replay = random.Random(n), random.Random(n)

@@ -34,7 +34,7 @@ from afcurves.exact_linalg import (
     trace_power,
     unimodular_inverse,
 )
-from oracles import diagonal_from_minors, mat_sum, poly_mul
+from oracles import diagonal_from_minors, mat_sum, poly_mul, smith_chain_matches
 
 A_STD = IntMatrix([[5, 2], [2, 1]])
 
@@ -178,7 +178,9 @@ INTEGER_ARGUMENTS = {
     "operator_counts-p": (
         lambda x: zeta.operator_local_zeta_counts(INC_STD, x, 3), 5, PRIMALITY
     ),
-    "is_bad_prime-p": (lambda x: zeta.is_bad_prime(INC_STD, x), 7, PRIMALITY),
+    "operator_counts-bad-p": (
+        lambda x: zeta.operator_local_zeta_counts(INC_BAD_AT_3, x, 4, alpha=-1), 3, PRIMALITY
+    ),
     "local_bits_bound-p": (lambda x: zeta.local_bits_bound(INC_STD, x, 3), 5, PRIMALITY),
     "local_bits_bound-order": (lambda x: zeta.local_bits_bound(INC_STD, 5, x), 3, None),
     "cli_zeta-order": (_zeta_command, 3, PRIMALITY),
@@ -583,6 +585,20 @@ class TestDetModQ:
         expected = int(sympy.Matrix(rows).det()) % exact_linalg._CHECK_PRIME
         assert exact_linalg._det_mod_q(rows) == expected
         assert rows == [list(row) for row in m.rows]  # read, not changed
+
+
+def test_smith_chain_rule_matches_its_comprehension_form():
+    # every d of length 1-3 with entries in {-2, ..., 4}, as a tuple (verify's
+    # d) and as a list (_smith_diagonal's), against every det in {-8, ..., 8}
+    verdicts = set()
+    for length in (1, 2, 3):
+        for d in itertools.product(range(-2, 5), repeat=length):
+            for det in range(-8, 9):
+                want = smith_chain_matches(d, det)
+                assert exact_linalg._smith_diagonal_matches(d, det) == want, (d, det)
+                assert exact_linalg._smith_diagonal_matches(list(d), det) == want, (d, det)
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def _seeded_matrix(n, seed):

@@ -161,10 +161,10 @@ def test_no_private_name_serves_only_the_test_only_names():
 
 
 def test_shared_private_names_are_reached_from_both_sides():
-    # random_glnz and the probe share the move step; the residue count is both
+    # random_glnz and the probe share the move applier; the residue count is both
     # count_points_enumerated's n = 1 and a production count route
     test_only, production = reaches(PACKAGE)
-    shared = {"_move", "_MOVE_FACTORS", "_count_points_prime_field"}
+    shared = {"_moves", "_MOVE_FACTORS", "_count_points_prime_field"}
     assert shared <= test_only & production
 
 
@@ -184,9 +184,9 @@ def test_shared_private_names_are_reached_from_both_sides():
           "def torsion(e):\n    return _helper(e)\n"
           "def _helper(e):\n    return e\n"], set()),
         (["_CAP = 3\nLIMIT = _CAP + 1\ndef mat_pow(m):\n    return _CAP\n"], set()),
-        (["def _move(b):\n    return b\ndef random_glnz(n):\n    return _move(n)\n",
-          "from .exact_linalg import _move\n"
-          "def invariance_probe(a):\n    return exact_linalg._move(a)\n"], set()),
+        (["def _moves(b):\n    return b\ndef random_glnz(n):\n    return _moves(n)\n",
+          "from .exact_linalg import _moves\n"
+          "def invariance_probe(a):\n    return exact_linalg._moves(a)\n"], set()),
         (["def _unused():\n    pass\ndef mat_pow(m):\n    return m\n"], set()),
     ],
     ids=["chain", "class", "constant", "shared", "module-level", "other-module",
