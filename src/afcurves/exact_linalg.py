@@ -3,30 +3,28 @@ determinants, polynomial evaluation at a matrix, and a seeded GL_n(Z)
 generator of (B, B^-1) pairs for tests; _moves applies its elementary moves,
 and the invariance probe conjugates A in place with the same applier.
 
-snf gives the Smith form with its transforms.  Its reduction, _smith,
-reduces the leading n x n block of a list of rows, and whatever the rows
-carry beyond that block takes the same steps: snf passes the bordered rows
-[M | I] followed by the rows of I, reads P from the border and Q from the
-trailing rows, and verifies the certificate P * M * Q = diag(d).  The `snf`
-command and unimodular_inverse use it.
+snf gives the Smith form with its transforms, read off _smith, which serves
+it alone (snf's docstring gives how), and verifies the certificate
+P * M * Q = diag(d).  The `snf` command and unimodular_inverse use it.
 
-smith_diagonal gives the diagonal alone; it is what invariants read.  For
-D = |det M| != 0 it needs only d_1..d_(n-1): their product is D_(n-1), the
-gcd of the (n-1)-minors, and Bareiss's last 2 x 2 block holds four such
-minors (Sylvester's identity), whose gcd g _bareiss returns beside det M.
-So every d_i with i < n divides h = gcd(g, D), _smith_mod reads them off M
-over Z/hZ, where every entry stays below h, and d_n = D / (d_1 ... d_(n-1)).
-h divides D and is 1 for most dense M, which then take no elimination.  A
-singular M takes _smith on its bare rows.  smith_diagonal, mat_poly_eval and
-IntMatrix @ wrap row-level bodies on plain lists of rows, _smith_diagonal,
-_poly_eval_rows and _matmul_rows; the invariance probe calls those directly,
-so its trials build no records.
+smith_diagonal gives the diagonal alone; it is what invariants read.  One
+_bareiss pass gives the rank r of M, its last pivot N (+-an r-minor, det M
+when r = n) and g, the gcd of four (n-1)-minors in Bareiss's last 2 x 2
+block (Sylvester's identity).  For r = n, d_1 ... d_(n-1) = D_(n-1), the
+gcd of the (n-1)-minors, so every d_i with i < n divides h = gcd(g, N),
+_smith_mod reads them off M over Z/hZ, where every entry stays below h, and
+d_n = |N| / (d_1 ... d_(n-1)); h is 1 for most dense M, which then take no
+elimination.  For r < n, d_(r+1..n) = 0 and each other d_i divides D_r,
+which divides N, so the first r entries of _smith_mod's chain of
+gcd(d_i, |N|) are d_1..d_r.  smith_diagonal, mat_poly_eval and IntMatrix @
+wrap _smith_diagonal, _poly_eval_rows and _matmul_rows on plain lists of
+rows, which the invariance probe calls directly, so its trials build no records.
 
 d is checked by one rule against the Bareiss determinant of M on every
 route: a Smith chain with prod(d) = |det M|, or ending in 0 when det M = 0.
 When det M != 0 this proves P and Q unimodular (det P * det M * det Q =
 +-det M, so the integers det P, det Q are +-1); only a singular M has them
-taken.  The mod-h route sets d_n from D, so that rule cannot see a wrong D;
+taken.  The mod-h route sets d_n from N, so that rule cannot see a wrong N;
 smith_diagonal also holds det M mod a fixed prime to +-prod(d).  That
 residue comes from _det_mod_q, an in-place elimination over F_q that shares
 no code with _bareiss or _smith_mod.
@@ -310,12 +308,13 @@ def _smith_diagonal(rows) -> tuple:
     """smith_diagonal of the square rows, which are read, not changed; the
     invariance probe calls it on plain lists."""
     n = len(rows)
-    det, g = _bareiss(rows)
+    rank, minor, g = _bareiss(rows)
+    det = minor if rank == n else 0
     if det:
         d = _smith_mod(rows, gcd(g, det))[:-1]
         d.append(abs(det) // prod(d))
     else:
-        d = _smith([list(row) for row in rows], n)
+        d = _smith_mod(rows, abs(minor))[:rank] + [0] * (n - rank)
     r = prod(d) % _CHECK_PRIME
     if not _smith_diagonal_matches(d, det) or _det_mod_q(rows) not in (r, -r % _CHECK_PRIME):
         raise RuntimeError("Smith diagonal failed the prod(d) == |det(m)| check")
@@ -328,8 +327,7 @@ _CHECK_PRIME = 2**30 - 35
 
 def _det_mod_q(rows) -> int:
     """det mod q = _CHECK_PRIME of the square rows, by Gaussian elimination
-    over F_q, in place on a reduced copy.  It shares no code with _bareiss or
-    _smith_mod, so it checks the Bareiss value independently.
+    over F_q, in place on a reduced copy; it shares no code with _bareiss.
 
     Column k takes as its pivot the first row from k down whose entry there
     is nonzero, swapped up (det -> q - det); det takes the pivot, and each
@@ -448,7 +446,8 @@ def _bezout_pivot(a, i, j, modulus) -> int:
 
 
 def _smith(a, n) -> list:
-    """Reduce the leading n x n block of the rows a to Smith form, in place.
+    """Reduce the leading n x n block of the rows a to Smith form, in place;
+    snf's reduction, which carries its transforms (smith_diagonal takes none).
 
     Row steps act on whole rows of a, column steps on every row below the
     current pivot (the rows above are zero in the block's remaining
@@ -540,47 +539,48 @@ def _bezout(x: int, y: int):
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    return _bareiss(m.rows)[0]
+    rank, minor, _ = _bareiss(m.rows)
+    return minor if rank == m.n else 0
 
 
 def _bareiss(rows) -> tuple:
-    """(det m, g) for the matrix m with these square rows, by fraction-free
-    (Bareiss) elimination on a copy.
+    """(r, N, g) for the square rows of m by fraction-free (Bareiss)
+    elimination on a copy: the rank r of m, its last pivot N, and g.
 
-    Before step k every entry of the block a[k:][k:] is a (k+1)-minor of m
-    up to sign (Sylvester's identity; row swaps change only signs), so g,
-    the gcd of the last 2 x 2 block before the last step, is a multiple of
-    D_(n-1), the gcd of all (n-1)-minors.  g is 1 for n = 1, and 0 when a
-    zero column ends the elimination early (det m = 0).
+    A column's pivot is its first nonzero entry from the next pivot row k
+    down, swapped up; a column with none is skipped.  After pivots in columns
+    c_1 < ... < c_k each entry a[i][j] below them is +-the (k+1)-minor of m on
+    the pivot rows and row i, columns c_1..c_k and j (Sylvester's identity),
+    so each division is exact and N is +-an r-minor, never 0: det m when
+    r = n, 1 when r = 0.  For r = n, D_(n-1) divides g, the gcd of the four
+    (n-1)-minors in the last 2 x 2 block before the last step; g is 1 for n = 1.
     """
     n = len(rows)
     a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    g = 1
-    for k in range(n - 1):
+    k, sign, prev, g = 0, 1, 1, 1
+    for c in range(n):
         top = a[k]
-        if k == n - 2:
+        if c == n - 2:
             below = a[k + 1]
-            g = gcd(top[k], top[k + 1], below[k], below[k + 1])
-        if top[k] == 0:
+            g = gcd(top[c], top[c + 1], below[c], below[c + 1])
+        if not top[c]:
             for r in range(k + 1, n):
-                if a[r][k] != 0:
+                if a[r][c]:
                     a[k], a[r] = a[r], top
                     top = a[k]
                     sign = -sign
                     break
             else:
-                return 0, 0
-        p = top[k]
+                continue  # a zero column below row k: no pivot
+        p = top[c]
         for i in range(k + 1, n):
             row = a[i]
-            f = row[k]
-            for j in range(k + 1, n):
+            f = row[c]
+            for j in range(c + 1, n):
                 row[j] = (row[j] * p - f * top[j]) // prev
-            row[k] = 0
         prev = p
-    return sign * a[n - 1][n - 1], g
+        k += 1
+    return k, sign * prev, g
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -286,7 +286,7 @@ def test_bowen_franks_quotient_of_every_4x4_zero_one_matrix(wall_bound):
     # all 65,536 m over {0, 1}; never shrink the box to pass.  Every minor of
     # m - I, entries in {-1, 0, 1}, is at most 16 in absolute value (Hadamard),
     # so over F_37 the residue gives det(m - I) exactly and the rank is the
-    # rank over Q.  31,499 of the m - I are singular and take _smith.
+    # rank over Q.  31,499 of the m - I are singular and reduce modulo a minor.
     q, singular = 37, 0
     with wall_bound(60):
         for entries in itertools.product((0, 1), repeat=16):

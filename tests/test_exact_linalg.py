@@ -499,15 +499,19 @@ class TestSmithDiagonalModDet:
     @example(IntMatrix([[0, 1, 2], [1, 2, 3], [2, 3, 5]]))  # swap at step 0
     @example(IntMatrix([[1, 2, 3], [2, 4, 1], [3, 1, 2]]))  # swap at step 1
     @example(IntMatrix([[1, 2, 3, 1], [2, 4, 6, 5], [1, 1, 2, 3], [0, 2, 1, 1]]))
-    def test_bareiss_g_is_a_multiple_of_the_last_divisor_but_one(self, m):
-        det, g = exact_linalg._bareiss(m.rows)
-        assert det == determinant(m)
-        last_but_one = determinantal_divisors(m)[-2] if m.n > 1 else 1
-        if last_but_one:
-            assert g % last_but_one == 0
-            assert det == 0 or g != 0
-        else:
-            assert g == 0
+    @example(IntMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 0]]))  # r = 0, N = 1
+    @example(IntMatrix([[0, 1, 2], [0, 3, 4], [0, 5, 7]]))  # zero first column
+    @example(IntMatrix([[1, 0, 2], [3, 0, 4], [5, 0, 7]]))  # zero middle column
+    @example(IntMatrix([[1, 2, 0], [3, 4, 0], [5, 7, 0]]))  # zero last column
+    @example(IntMatrix([[2, -4, 6], [-1, 2, -3], [3, -6, 9]]))  # rank 1
+    def test_bareiss_gives_the_rank_and_a_minor_the_divisors_divide(self, m):
+        rank, minor, g = exact_linalg._bareiss(m.rows)
+        divisors = [1] + determinantal_divisors(m)  # D_0 = 1, ..., D_n
+        assert rank == sum(1 for x in divisors[1:] if x)
+        assert minor != 0 and minor % divisors[rank] == 0
+        if rank == m.n:
+            assert minor == determinant(m) == int(sympy.Matrix(m.rows).det())
+            assert g % divisors[m.n - 1] == 0
 
     @pytest.mark.parametrize(
         "chain",
@@ -529,11 +533,25 @@ class TestSmithDiagonalModDet:
         monkeypatch.setattr(exact_linalg, "_smith", _smith_unreached)
         assert smith_diagonal(m) == chain
 
-    def test_only_a_singular_matrix_reaches_smith(self, monkeypatch):
+    def test_smith_diagonal_never_reaches_smith(self, monkeypatch):
         monkeypatch.setattr(exact_linalg, "_smith", _smith_unreached)
         assert smith_diagonal(_seeded_matrix(6, 6)) == (1, 1, 1, 1, 2, 158720)
-        with pytest.raises(LookupError, match="_smith reached"):
-            smith_diagonal(IntMatrix([[2, 4], [3, 6]]))
+        assert smith_diagonal(IntMatrix([[2, 4], [3, 6]])) == (1, 0)
+
+    @pytest.mark.parametrize("n,deficit", [(8, 1), (8, 2), (16, 1), (16, 2)])
+    def test_dense_singular_matches_snf(self, wall_bound, n, deficit):
+        # the last `deficit` rows are integer combinations of the others, so
+        # the rank is n - deficit; snf's _smith is an engine of its own
+        rng = random.Random(n + deficit)
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n - deficit)]
+        for _ in range(deficit):
+            ks = [rng.randint(-3, 3) for _ in range(n - deficit)]
+            rows.append([sum(k * row[j] for k, row in zip(ks, rows)) for j in range(n)])
+        m = IntMatrix(rows)
+        with wall_bound(5):
+            d = smith_diagonal(m)
+        assert d[n - deficit - 1] != 0 and d[n - deficit:] == (0,) * deficit
+        assert d == snf(m).d
 
 
 def wide_entries():

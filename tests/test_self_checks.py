@@ -83,7 +83,8 @@ def test_verify_takes_transform_determinants_only_for_singular_m(monkeypatch):
     [
         # det -4: g = 2, so d = (2, 8 / 2) matches 8; only det mod q sees it
         ([[4, 2], [2, 0]], 8),
-        ([[4, 2], [2, 0]], 0),  # a zero det asks for a trailing 0
+        # rank 1 claimed: d = (2, 0) is a chain ending in 0; only det mod q sees it
+        ([[4, 2], [2, 0]], 0),
         ([[2, 4], [3, 6]], 5),  # singular, but a nonzero det is claimed
         # det 6: g = 1, so d = (1, 2) is set from the wrong value and matches
         # it exactly; only det mod q, taken without _bareiss, sees it
@@ -91,9 +92,15 @@ def test_verify_takes_transform_determinants_only_for_singular_m(monkeypatch):
     ],
 )
 def test_smith_diagonal_determinant_check_raises(monkeypatch, rows, wrong_det):
-    # the wrong det comes with the true gcd g of the minors
+    # _bareiss claims full rank with N = wrong_det, or for det 0 rank n - 1
+    # with the true last pivot; the true gcd g of the minors comes along
     true_bareiss = exact_linalg._bareiss
-    monkeypatch.setattr(exact_linalg, "_bareiss", lambda m: (wrong_det, true_bareiss(m)[1]))
+
+    def lying_bareiss(m):
+        rank, minor, g = true_bareiss(m)
+        return (len(m), wrong_det, g) if wrong_det else (len(m) - 1, minor, g)
+
+    monkeypatch.setattr(exact_linalg, "_bareiss", lying_bareiss)
     with pytest.raises(RuntimeError, match="prod\\(d\\) == \\|det"):
         exact_linalg.smith_diagonal(exact_linalg.IntMatrix(rows))
 

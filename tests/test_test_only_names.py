@@ -10,14 +10,23 @@ carry none of the arithmetic that only the tests' oracles (tests/oracles.py)
 need.  No private top-level name lives on only for the test-only names: one
 that their definitions reach, directly or through other private names, is
 also reached from the rest of the package.
+
+The reachability guard: every top-level name of src/afcurves is reached from
+a root, following the names each definition loads.  The roots are
+module-level code, the dunder hooks, the names afcurves exports and the
+shell's main with the command functions it registers; the TEST_ONLY names
+are no roots.  Only the names on UNREACHED_ALLOWED may stay unreached, and
+that list may only shrink.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
 import afcurves
+from afcurves import shell
 from afcurves.exact_linalg import IntMatrix, IntPolynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "afcurves"
@@ -106,14 +115,13 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def reaches(sources) -> tuple:
-    """(what the definitions of TEST_ONLY names reach, what the rest of the
-    package reaches): top-level names, each followed through the names its
-    definition loads.  The rest is module-level code and the definition of
-    every other public name.  Names are matched by their text across all the
-    sources (a load or an attribute), so a shared spelling counts as a reach."""
-    loads: dict = {}  # top-level name -> the names its definition loads
-    roots: set = set()  # names loaded by statements that define no name
+def load_graph(sources) -> tuple:
+    """(loads, module_level): each top-level name mapped to the names its
+    definition loads, and the names loaded by statements that define no name.
+    Names are matched by their text across all the sources (a load or an
+    attribute), so a shared spelling counts as a reach."""
+    loads: dict = {}
+    module_level: set = set()
     for source in sources:
         for stmt in ast.parse(source).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -132,19 +140,29 @@ def reaches(sources) -> tuple:
             for name in defined:
                 loads.setdefault(name, set()).update(loaded)
             if not defined:
-                roots |= loaded
+                module_level |= loaded
+    return loads, module_level
 
-    def reach(start):
-        seen, todo = set(), list(start)
-        while todo:
-            name = todo.pop()
-            if name not in seen:
-                seen.add(name)
-                todo.extend(loads.get(name, ()))
-        return seen
 
+def walk(loads, start) -> set:
+    """The names in start, each followed through the names its definition loads."""
+    seen, todo = set(), list(start)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(loads.get(name, ()))
+    return seen
+
+
+def reaches(sources) -> tuple:
+    """(what the definitions of TEST_ONLY names reach, what the rest of the
+    package reaches): top-level names, each followed through the names its
+    definition loads (load_graph).  The rest is module-level code and the
+    definition of every other public name."""
+    loads, module_level = load_graph(sources)
     public = {n for n in loads if not _private(n) and n not in TEST_ONLY}
-    return reach(TEST_ONLY & set(loads)), reach(roots | public)
+    return walk(loads, TEST_ONLY & set(loads)), walk(loads, module_level | public)
 
 
 def serving_only_the_test_only_names(sources) -> set:
@@ -194,3 +212,68 @@ def test_shared_private_names_are_reached_from_both_sides():
 )
 def test_the_guard_sees_every_kind_of_reach(sources, expected):
     assert serving_only_the_test_only_names(sources) == expected
+
+
+# The names no root may reach: TEST_ONLY and ENUMERATION_MAX, which only
+# count_points_enumerated reads.  This set may only shrink.
+UNREACHED_ALLOWED = TEST_ONLY | {"ENUMERATION_MAX"}
+
+
+def unreached(sources, entry_points) -> set:
+    """The top-level names of the sources that no root reaches.  The roots are
+    module-level code, the dunder hooks (__getattr__, __all__ and the like) and
+    the entry points, less the TEST_ONLY names."""
+    loads, module_level = load_graph(sources)
+    dunders = {n for n in loads if n.startswith("__") and n.endswith("__")}
+    return set(loads) - walk(loads, module_level | dunders | (set(entry_points) - TEST_ONLY))
+
+
+def entry_points() -> set:
+    """The names afcurves exports, and the shell's main with the command
+    functions its parser registers."""
+    parser = shell.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    funcs = {sub.get_default("func").__name__ for sub in commands.choices.values()}
+    return set(afcurves._EXPORTS) | {"main"} | funcs
+
+
+def test_every_top_level_name_is_reached_from_a_root():
+    assert unreached(PACKAGE, entry_points()) == UNREACHED_ALLOWED
+
+
+def test_the_allowlist_only_shrinks():
+    assert UNREACHED_ALLOWED <= {
+        "mat_pow", "unimodular_inverse", "determinantal_divisors", "random_glnz",
+        "count_points_enumerated", "mul_point", "MAZUR_ADMISSIBLE", "ENUMERATION_MAX",
+    }
+
+
+def test_smith_is_reached_through_snf_alone():
+    loads, _ = load_graph(PACKAGE)
+    assert {name for name, loaded in loads.items() if "_smith" in loaded} == {"snf"}
+    assert "_smith" not in unreached(PACKAGE, entry_points())
+
+
+@pytest.mark.parametrize(
+    "sources,entry,expected",
+    [
+        (["def run(x):\n    return _helper(x)\n"
+          "def _helper(x):\n    return x\n"
+          "def _dead(x):\n    return _helper(x)\n"], {"run"}, {"_dead"}),
+        (["import sys\nsys.exit(_main())\n"
+          "def _main():\n    return _CODE\n_CODE = 0\n"], set(), set()),
+        (["def __getattr__(name):\n    return _EXPORTS[name]\n"
+          "_EXPORTS = {}\n_LOST = 1\n"], set(), {"_LOST"}),
+        (["class _Field:\n    def mul(self, u):\n        return _rem(u)\n"
+          "def _rem(u):\n    return u\n"
+          "def count(e):\n    return _Field().mul(e)\n"], {"count"}, set()),
+        (["def mat_pow(m):\n    return _square(m)\n"
+          "def _square(m):\n    return m\n"], {"mat_pow"}, {"mat_pow", "_square"}),
+        (["def _cmd_snf(args):\n    return snf(args)\n",
+          "def snf(m):\n    return m\n"], {"_cmd_snf"}, set()),
+    ],
+    ids=["unreached", "module-level", "dunder-hook", "class", "test-only-root",
+         "other-module"],
+)
+def test_the_reachability_guard_sees_every_kind_of_root(sources, entry, expected):
+    assert unreached(sources, entry) == expected
