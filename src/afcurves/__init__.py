@@ -14,14 +14,14 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "af_invariant": "AbelianGroup IncidenceMatrix ProbeReport abelianize "
-        "bowen_franks invariance_probe quotient_group validate_incidence",
+        "af_invariant": "IncidenceMatrix ProbeReport abelianize bowen_franks "
+        "invariance_probe quotient_group validate_incidence",
         "contfrac": "PeriodicCF QuadraticIrrational expand incidence_from_period",
         "elliptic": "CurveQ INFINITY LegendreModel MAZUR_ADMISSIBLE Point add_points "
         "j_from_lambda lambda_orbit legendre_model mul_point "
         "rational_lambdas_from_j torsion_subgroup",
-        "exact_linalg": "IntMatrix IntPolynomial SmithDecomposition determinant "
-        "is_unimodular mat_poly_eval smith_diagonal snf",
+        "exact_linalg": "AbelianGroup IntMatrix IntPolynomial SmithDecomposition "
+        "determinant is_unimodular mat_poly_eval smith_diagonal snf",
         "zeta": "LocalZetaReport compare_local count_points curve_local_zeta "
         "operator_local_zeta_counts trace_frobenius",
     }.items()

@@ -2,16 +2,16 @@
 
 Given a nonnegative unimodular incidence matrix A (some power strictly
 positive) and an integer polynomial p with p(0) = +-1, the invariant is the
-finitely generated abelian group Z^n / p(A) Z^n, read off the Smith diagonal
-of p(A) that exact_linalg.smith_diagonal gives (its route and checks are in
-exact_linalg's docstring).  The group is unchanged by GL_n(Z) conjugation of
-A, which the probe harness checks on random conjugates made by elementary
-moves on a copy of A (no B), one 64-bit draw a move, read off a table of
-moves built once a probe and applied by exact_linalg._moves, which
-random_glnz also builds B with.  A trial stays on plain lists of rows and
-builds no record: it compares the Smith diagonal of p(A'), with every check
-smith_diagonal makes, as a tuple with the base diagonal, which is group
-equality because the Smith form is canonical.
+finitely generated abelian group Z^n / p(A) Z^n, an exact_linalg.AbelianGroup
+read off the Smith diagonal of p(A) that exact_linalg.smith_diagonal gives
+(its route and checks are in exact_linalg's docstring).  The group is
+unchanged by GL_n(Z) conjugation of A, which the probe harness checks on
+random conjugates made by elementary moves on a copy of A (no B), one 64-bit
+draw a move, read off a table of moves built once a probe and applied by
+exact_linalg._moves, which random_glnz also builds B with.  A trial stays on
+plain lists of rows and builds no record: it compares the Smith diagonal of
+p(A'), with every check smith_diagonal makes, as a tuple with the base
+diagonal, which is group equality because the Smith form is canonical.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 
 from .exact_linalg import (
+    AbelianGroup,
     BudgetExceeded,
     IntMatrix,
     IntPolynomial,
@@ -26,7 +27,6 @@ from .exact_linalg import (
     determinant,
     exact_int,
     exact_int_at_least,
-    exact_ints,
     int_text,
     mat_poly_eval,
     smith_diagonal,
@@ -60,59 +60,6 @@ class BadConstantTerm(ValueError):
 
 
 BOWEN_FRANKS_POLY = IntPolynomial([-1, 1])  # x - 1
-
-
-class AbelianGroup(Record):
-    """Normal form of a finitely generated abelian group.
-
-    torsion is the divisibility chain of elementary divisors (each >= 2,
-    each dividing the next, factors equal to 1 dropped); free_rank counts
-    the Z summands.  Structural equality of (torsion, free_rank) is group
-    equality because this form is canonical.  Divisors and rank pass
-    exact_linalg.exact_int, or raise TypeError.
-    """
-
-    torsion: tuple
-    free_rank: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "free_rank", exact_int(self.free_rank))
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", exact_ints(self.torsion))
-        for g in self.torsion:
-            if g < 2:
-                raise ValueError("elementary divisors must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a != 0:
-                raise ValueError("elementary divisors must form a divisibility chain")
-
-    @classmethod
-    def from_smith_diagonal(cls, d) -> "AbelianGroup":
-        torsion = tuple(x for x in d if x > 1)
-        free_rank = sum(1 for x in d if x == 0)
-        return cls(torsion, free_rank)
-
-    def order(self):
-        """Group order, or None when the group is infinite."""
-        if self.free_rank > 0:
-            return None
-        n = 1
-        for g in self.torsion:
-            n *= g
-        return n
-
-    def exponent(self):
-        """Largest elementary divisor (lcm of all, by the chain), 1 if free/trivial."""
-        return self.torsion[-1] if self.torsion else 1
-
-    def __str__(self):
-        parts = [f"Z_{g}" for g in self.torsion]
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        return " + ".join(parts) if parts else "trivial"
 
 
 class IncidenceMatrix(Record):

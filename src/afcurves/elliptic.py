@@ -5,9 +5,10 @@ fractional-linear lambda orbit, recovery of rational lambda values from a
 given j (integer roots of a monic cubic in u = lambda^2 - lambda, by exact
 bisection), conversion to an integral short Weierstrass model
 y^2 = x^3+ax+b, the exact chord-and-tangent group law, and rational torsion
-subgroups from a strong Nagell-Lutz scan over an explicit window of integer
-x.  Searches past _STEP_CAP steps raise BudgetExceeded before they start.
-All arithmetic is exact (Fraction); a float argument raises TypeError.
+subgroups, as exact_linalg.AbelianGroup, from a strong Nagell-Lutz scan over
+an explicit window of integer x.  Searches past _STEP_CAP steps raise
+BudgetExceeded before they start.  All arithmetic is exact (Fraction); a
+float argument raises TypeError.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import re
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .af_invariant import AbelianGroup
-from .exact_linalg import BudgetExceeded, Record, exact_int, int_text
+from .exact_linalg import AbelianGroup, BudgetExceeded, Record, exact_int, int_text
 
 # Steps a curve search may take before it raises BudgetExceeded instead.
 _STEP_CAP = 1 << 22

@@ -36,9 +36,11 @@ other n reduces x^k modulo the characteristic polynomial (Cayley-Hamilton),
 in O(n^2 log k) big-integer products.
 
 Record, the frozen base of the package's value types, reads its fields from
-the class annotations and generates no code (no dataclasses).  Value types take
-their integers through exact_int or exact_ints, and entry points their integer
-arguments through exact_int or exact_int_at_least: one rule for an integer.
+the class annotations and generates no code (no dataclasses).  AbelianGroup
+is the form of the AF invariant and of a curve's torsion alike, so the curve
+modules take it from here.  Value types take their integers through
+exact_int or exact_ints, and entry points their integer arguments through
+exact_int or exact_int_at_least: one rule for an integer.
 A refusal message names a computed integer through int_text, which gives
 its bit length where the interpreter's digit limit refuses str().
 
@@ -276,6 +278,59 @@ def _smith_diagonal_matches(d, det: int) -> bool:
         and all(b % a == 0 for a, b in zip(head, head[1:]))
         and (prod(d) == abs(det) if det else d[-1] == 0)
     )
+
+
+class AbelianGroup(Record):
+    """Normal form of a finitely generated abelian group.
+
+    torsion is the divisibility chain of elementary divisors (each >= 2,
+    each dividing the next, factors equal to 1 dropped); free_rank counts
+    the Z summands.  Structural equality of (torsion, free_rank) is group
+    equality because this form is canonical.  Divisors and rank pass
+    exact_int, or raise TypeError.
+    """
+
+    torsion: tuple
+    free_rank: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "free_rank", exact_int(self.free_rank))
+        if self.free_rank < 0:
+            raise ValueError("free rank must be nonnegative")
+        object.__setattr__(self, "torsion", exact_ints(self.torsion))
+        for g in self.torsion:
+            if g < 2:
+                raise ValueError("elementary divisors must be >= 2")
+        for a, b in zip(self.torsion, self.torsion[1:]):
+            if b % a != 0:
+                raise ValueError("elementary divisors must form a divisibility chain")
+
+    @classmethod
+    def from_smith_diagonal(cls, d) -> "AbelianGroup":
+        torsion = tuple(x for x in d if x > 1)
+        free_rank = sum(1 for x in d if x == 0)
+        return cls(torsion, free_rank)
+
+    def order(self):
+        """Group order, or None when the group is infinite."""
+        if self.free_rank > 0:
+            return None
+        n = 1
+        for g in self.torsion:
+            n *= g
+        return n
+
+    def exponent(self):
+        """Largest elementary divisor (lcm of all, by the chain), 1 if free/trivial."""
+        return self.torsion[-1] if self.torsion else 1
+
+    def __str__(self):
+        parts = [f"Z_{g}" for g in self.torsion]
+        if self.free_rank == 1:
+            parts.append("Z")
+        elif self.free_rank > 1:
+            parts.append(f"Z^{self.free_rank}")
+        return " + ".join(parts) if parts else "trivial"
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:

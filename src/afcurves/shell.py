@@ -16,10 +16,12 @@ numeric I/O is exact: integers and p/q rationals only.
 
 A call loads only what its command runs: this module imports exact_linalg
 (the parsers and value types every command shares), each command imports
-the modules it calls, and `encode` tests a value against a class only once
-that class's module is loaded.  So `snf` loads neither the curve modules nor
-`fractions`, and only `conjecture` loads the corpus reader and `csv`.
-afcurves.cli is this `main` with every module loaded up front.
+the modules it calls, and `encode` tests a value against another module's
+class only once that module is loaded.  So `snf` loads neither the curve
+modules nor `fractions`, `torsion` and `jmap` nothing from the AF layer, and
+only `conjecture` loads the corpus reader and `csv`.  afcurves.cli is this
+`main` with every module loaded up front.  `main` is run from
+afcurves/__main__.py and the `afcurves` script only, not as `__main__` here.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def encode(value, text: bool = False):
         return str(value) if text else exact_linalg.format_poly(value)
     if isinstance(value, _loaded("afcurves.elliptic", "CurveQ")):
         return str(value) if text else f"a={value.a},b={value.b}"
-    if text and isinstance(value, _loaded("afcurves.af_invariant", "AbelianGroup")):
+    if text and isinstance(value, exact_linalg.AbelianGroup):
         return str(value)
     if isinstance(value, _loaded("afcurves.elliptic", "Point")):
         return [str(value.x), str(value.y)]
@@ -400,7 +402,3 @@ def main(argv=None) -> int:
         return status
     finally:
         sys.set_int_max_str_digits(caller_digits)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

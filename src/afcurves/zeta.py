@@ -20,13 +20,14 @@ of p; every other n reduces x^p modulo the characteristic polynomial of A
 One routine, _operator_side, decides the branch once and refuses a missing
 or bad alpha before it takes tr(A^p), and then refuses with BudgetExceeded
 when the floor max(order, 1) * p * floor(log2 ||A||) passes 2^20 bits (||A||
-the largest row sum); operator_local_zeta_counts and compare_local both read
-it.  local_bits_bound bounds the bits of compare_local's integers before
-tr(A^p) is taken, and past 2^20 returns that same floor; _operator_floor
-alone writes it.  On the curve side, curve_local_zeta refuses with
-BudgetExceeded before its exp series when order^2 * p.bit_length() passes
-2^21, and count_points before its count when n^2 * p.bit_length() passes
-2^31.
+the largest row sum) or when _report_cost, the cost of both count sequences,
+which grows as order^2, passes 2^38; operator_local_zeta_counts and
+compare_local both read it, compare_local before its curve count.
+local_bits_bound bounds the bits of compare_local's integers before tr(A^p)
+is taken, and past 2^20 returns that same floor; _operator_floor alone
+writes it.  On the curve side, curve_local_zeta refuses with BudgetExceeded
+before its exp series when order^2 * p.bit_length() passes 2^21, and
+count_points before its count when n^2 * p.bit_length() passes 2^31.
 
 Every public function here that takes p passes it once, before any work on
 it, through _prime (or _check_good_odd_prime, which adds the curve's own
@@ -42,7 +43,6 @@ from __future__ import annotations
 import itertools
 from math import gcd, isqrt, lcm
 
-from .af_invariant import IncidenceMatrix
 from .exact_linalg import BudgetExceeded, Record, exact_int, exact_int_at_least
 from .exact_linalg import int_text, trace_power
 
@@ -59,6 +59,15 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 # Past this floor on the bits of the operator side's integers,
 # max(order, 1) * p * floor(log2 ||A||), it refuses before tr(A^p).
 _OPERATOR_BITS_CAP = 2**20
+# Past this cost of compare_local's report (_report_cost), compare_local and
+# operator_local_zeta_counts refuse before any count.  Time of compare_local
+# at the largest admitted order (y^2 = x^3 - x + 1, best of 3, CPython
+# 3.11.7, 2 shared vCPUs):
+#   A             1      1        1  2,1;1,1  2,1;1,1  2,1;1,1  2,1;1,1  5,2;2,1
+#   p             7  10^6+3 10^12+39       7      101     1009    16381     1009
+#   order     21403    8289     5861   14057     3448      490       44      252
+#   s          0.24    0.22     0.31    0.20     0.27     0.23     0.18     0.18
+_REPORT_COST_CAP = 2**38
 # Past this size of curve_local_zeta's series, order^2 * p.bit_length() (about
 # twice the bits of its coefficients: the k-th has k * log2 p bits and takes k
 # products), it refuses before the series.  Time at the largest admitted order
@@ -494,10 +503,22 @@ def _operator_floor(a: IncidenceMatrix, p: int, order: int) -> tuple:
     return max(order, 1) * p * (norm.bit_length() - 1), norm
 
 
+def _report_cost(p: int, order: int, floor_bits: int) -> int:
+    """order^2 * (2 * p.bit_length() + w) * (100 + min(w, 8192)), the cost
+    of both count sequences to order, w = p * floor(log2 ||A||) the operator
+    floor's bits an order.  The n-th count on each side has about n *
+    p.bit_length() bits, and n * w more on the operator side, whose step
+    multiplies it by tr(A^p) of about w bits: at a fixed report size its
+    time grows like 100 + w until w = 8192, then more slowly (Karatsuba)."""
+    w = floor_bits // max(order, 1)
+    return order * order * (2 * p.bit_length() + w) * (100 + min(w, 8192))
+
+
 def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
     """Operator counts for n = 1..order and the OperatorParams that made them,
     at a checked p; the branch is decided, alpha refused and the size bounded
-    before tr(A^p), on _operator_floor, so ||A||^p is not formed on this path."""
+    before tr(A^p), on _operator_floor and _report_cost, so ||A||^p is not
+    formed on this path."""
     order = exact_int_at_least(order, 0, "order")
     alpha = alpha if alpha is None else exact_int(alpha)
     bad = _is_bad_prime(a, p)
@@ -513,6 +534,12 @@ def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
             f"at p = {p} and order {order}, max(order, 1) * p * floor(log2 ||A||)"
             f" = {floor_bits} bits is past 2^20"
         )
+    if (cost := _report_cost(p, order, floor_bits)) > _REPORT_COST_CAP:
+        raise BudgetExceeded(
+            f"at p = {p} and order {order}, the report's cost order^2 * (2 * "
+            f"p.bit_length() + w) * (100 + min(w, 8192)) = {cost}, w = p * "
+            f"floor(log2 ||A||), is past 2^38"
+        )
     tr_ap = trace_power(a.m, p)
     if bad:
         counts = tuple(abs(1 - alpha**n) for n in range(1, order + 1))
@@ -524,10 +551,11 @@ def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
 def compare_local(
     e, a: IncidenceMatrix, p: int, order: int, alpha: int | None = None
 ) -> LocalZetaReport:
-    """Assemble both local sequences at p with per-n equality flags."""
+    """Assemble both local sequences at p with per-n equality flags; the
+    operator side, which bounds the report's size, runs first."""
     p = _check_good_odd_prime(e, p)  # first: a bad p outranks a bad order
-    a_p = _trace_frobenius(e, p)
     operator_counts, operator_params = _operator_side(a, p, order, alpha)
+    a_p = _trace_frobenius(e, p)
     curve_counts = tuple(_curve_counts(a_p, p, order))
     return LocalZetaReport(
         prime=p,

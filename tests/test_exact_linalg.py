@@ -136,8 +136,8 @@ def _zeta_command(order):
 # its first worker, or None for is_prime and local_bits_bound, whose work is
 # all arithmetic on their arguments).
 # compare_local checks p first (TestErrorPrecedence), so its order and alpha
-# are checked after that count and before trace_power.  A p row's worker is
-# is_prime, which the p check calls on the int that exact_int returns.
+# are checked after p and before the curve count and trace_power.  A p row's
+# worker is is_prime, which the p check calls on the int that exact_int returns.
 INTEGER_ARGUMENTS = {
     "mat_pow-k": (lambda x: mat_pow(A_STD, x), 2, IDENTITY),
     "trace_power-k": (lambda x: trace_power(A_STD, x), 3, IDENTITY),

@@ -1,6 +1,8 @@
 """A CLI call loads only the modules its command runs, and `import afcurves`
 loads none: the package namespace resolves each export on first access.
-`import afcurves.cli` still loads them all.
+`import afcurves.cli` still loads them all.  The curve modules import no AF
+code: AbelianGroup, which a curve's torsion is given as, is an exact_linalg
+value type.
 
 Each case runs in a fresh interpreter and compares sys.modules before and
 after inside the child, so whatever the interpreter loads at startup (a site
@@ -52,14 +54,15 @@ def call_loads(*argv) -> set:
 
 SHELL_ONLY = LIBRARY | RATIONALS | {"csv"}
 NO_CORPUS = {"afcurves.corpus", "csv"}
+NO_AF_LAYER = NO_CORPUS | {"afcurves.af_invariant"}
 CALLS = [
     (["snf", "4,2;2,0"], SHELL_ONLY),
     (["abelianize", "2,1;1,1", "--poly=-1,1"], SHELL_ONLY),
     (["bowen-franks", "2,1;1,1"], SHELL_ONLY),
     (["probe", "2,1;1,1", "--poly=-1,-1,1", "--trials", "3"], RATIONALS),
     (["cf", "sqrt(7)", "--matrix"], RATIONALS),
-    (["torsion", "a=-1,b=0"], NO_CORPUS),
-    (["jmap", "lambda=2"], NO_CORPUS),
+    (["torsion", "a=-1,b=0"], NO_AF_LAYER),
+    (["jmap", "j=1728"], NO_AF_LAYER),
     (["zeta", "a=-1,b=0", "2,1;1,1", "--primes", "5"], NO_CORPUS),
 ]
 
@@ -82,6 +85,18 @@ def test_conjecture_loads_the_corpus_reader_and_what_it_runs():
 def test_importing_the_cli_loads_every_module():
     library = {"af_invariant", "contfrac", "corpus", "elliptic", "exact_linalg", "shell", "zeta"}
     assert {f"afcurves.{m}" for m in library} <= modules_added("import afcurves.cli")
+
+
+@pytest.mark.parametrize("module", ["elliptic", "zeta"])
+def test_a_curve_module_imports_no_af_code(module):
+    loaded = modules_added(f"import afcurves.{module}")
+    assert f"afcurves.{module}" in loaded
+    assert "afcurves.af_invariant" not in loaded
+
+
+def test_abelian_group_is_one_class_under_every_name():
+    from afcurves import af_invariant, exact_linalg
+    assert afcurves.AbelianGroup is af_invariant.AbelianGroup is exact_linalg.AbelianGroup
 
 
 def test_importing_the_package_loads_no_submodule():

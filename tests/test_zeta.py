@@ -521,6 +521,53 @@ class TestCompareLocal:
         assert report.curve_counts == (4, 16)
 
 
+class TestReportCost:
+    """compare_local and operator_local_zeta_counts refuse, before any count,
+    an order whose report's cost (zeta._report_cost) passes 2^38: the
+    report grows as order^2, while the operator floor bounds only its
+    largest integer, and not at all for the 1 x 1 matrix 1 (floor 0).
+    Unbounded, order 30,000 on 2,1;1,1 at p = 7 took 0.9-1.7 s and 739 MB;
+    14,057 there and 21,403 on 1 are the largest orders admitted."""
+
+    FIB_SQUARED = validate_incidence(IntMatrix([[2, 1], [1, 1]]))
+    ONE = validate_incidence(IntMatrix([[1]]))
+    CALLS = {
+        "compare": lambda a, order: compare_local(E_CM, a, 7, order),
+        "counts": lambda a, order: operator_local_zeta_counts(a, 7, order),
+    }
+
+    @staticmethod
+    def message(order, cost):
+        return (f"at p = 7 and order {order}, the report's cost order^2 * (2 * "
+                f"p.bit_length() + w) * (100 + min(w, 8192)) = {cost}, w = p * "
+                f"floor(log2 ||A||), is past 2^38")
+
+    @pytest.mark.parametrize(
+        "a,order,cost",
+        [(FIB_SQUARED, 30_000, 30_000**2 * 13 * 107),
+         (ONE, 100_000, 100_000**2 * 6 * 100)],
+        ids=["2,1;1,1", "1"],
+    )
+    def test_a_large_order_is_refused(self, wall_bound, a, order, cost):
+        with wall_bound(1), pytest.raises(BudgetExceeded) as exc:
+            compare_local(E_CM, a, 7, order)
+        assert str(exc.value) == self.message(order, cost)
+
+    @pytest.mark.parametrize("a,order", [(FIB_SQUARED, 14_058), (ONE, 21_404)],
+                             ids=["2,1;1,1", "1"])
+    def test_refused_before_any_count(self, monkeypatch, a, order):
+        monkeypatch.setattr(zeta, "_trace_frobenius", _unreached)
+        monkeypatch.setattr(zeta, "trace_power", _unreached)
+        for call in self.CALLS.values():
+            with pytest.raises(BudgetExceeded, match="is past 2\\^38"):
+                call(a, order)
+
+    def test_the_largest_admitted_order_runs(self, wall_bound):
+        with wall_bound(3):
+            report = compare_local(E_CM, self.FIB_SQUARED, 7, 14_057)
+        assert len(report.curve_counts) == len(report.operator_counts) == 14_057
+
+
 def test_compare_local_takes_no_matrix_power(monkeypatch):
     """The operator side reads tr(A^p) without mat_pow: with mat_pow made to
     raise under every name an afcurves module binds it to, compare_local
