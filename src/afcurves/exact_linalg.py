@@ -33,7 +33,9 @@ trace_power gives tr(M^k) without forming M^k.  The route is read off n:
 a 2 x 2 M, every incidence matrix of a continued-fraction period, takes a
 Lucas ladder on V_k(tr M, det M), one squaring and one product a bit; every
 other n reduces x^k modulo the characteristic polynomial (Cayley-Hamilton),
-in O(n^2 log k) big-integer products.
+in O(n^2 log k) big-integer products.  Past _TRACE_BITS_CAP on
+k * floor(log2 ||M||), a bound on the bits of the result, it raises
+BudgetExceeded before either route.
 
 Record, the frozen base of the package's value types, reads its fields from
 the class annotations and generates no code (no dataclasses).  AbelianGroup
@@ -45,7 +47,8 @@ A refusal message names a computed integer through int_text, which gives
 its bit length where the interpreter's digit limit refuses str().
 
 Everything runs on Python's arbitrary-precision integers; there is no
-floating point and no entry-size limit anywhere in this module.
+floating point and no entry-size limit anywhere in this module; trace_power's
+is its one work limit.
 """
 
 from __future__ import annotations
@@ -656,6 +659,17 @@ def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
+# Past this bound on the bits of tr(m^k), k * floor(log2 ||m||) with ||m||
+# the largest row sum of |entries|, trace_power refuses before its ladder.
+# The operator side refuses first past the same floor at order 1, so every
+# call from zeta passes.  Time at the largest admitted k (best of 3, CPython
+# 3.11.7, 2 shared vCPUs):
+#   m        5,2;2,1  2,1;1,1  1,1;1,0  3x3 ||m||=3  3x3 ||m||=120  6x6 ||m||=2
+#   k         524288  1048576  1048576      1048576         174762      1048576
+#   s          0.064    0.076    0.024         0.39           0.23         0.66
+_TRACE_BITS_CAP = 2**20
+
+
 def trace_power(m: IntMatrix, k: int) -> int:
     """Exact tr(m**k) for k >= 0; m**k is never formed.
 
@@ -667,8 +681,15 @@ def trace_power(m: IntMatrix, k: int) -> int:
     so V_(k+1) is never formed.  Every other n takes Cayley-Hamilton: with
     chi(x) = det(xI - m), x^k mod chi = sum r_i x^i by left-to-right
     square-and-shift (n(n+1)/2 big products a squaring), so tr(m^k) =
-    sum r_i tr(m^i)."""
+    sum r_i tr(m^i).  Past k * floor(log2 ||m||) = 2^20, ||m|| the largest
+    row sum of |entries|, which bounds the bits of the result, it raises
+    BudgetExceeded before either."""
     k = exact_int_at_least(k, 0, "exponent")
+    norm = max(sum(map(abs, row)) for row in m.rows)
+    if (bits := k * (norm.bit_length() - 1)) > _TRACE_BITS_CAP:
+        raise BudgetExceeded(
+            f"tr(m^k) at k = {k}: k * floor(log2 ||m||) = {bits} is past 2^20"
+        )
     n = m.n
     if n == 2:
         (a, b), (c, d) = m.rows

@@ -256,8 +256,25 @@ class TestTorsionCommand:
         assert code == 1
         assert "SingularLambda" in err
 
+    @pytest.mark.parametrize("spec", ["lambda=7/1000", "a=-1000000000000,b=0"])
+    def test_a_curve_past_the_old_window_has_full_two_torsion(
+        self, capsys, wall_bound, spec
+    ):
+        # each was over the 2^22 x values of the Nagell-Lutz window the
+        # torsion search used to scan, and refused
+        with wall_bound(2):
+            code, payload, err = run_json(capsys, "torsion", spec)
+        assert (code, err) == (0, "")
+        two, other = payload["group"]["torsion"]
+        assert two == 2 and other % 2 == 0
+
     @pytest.mark.parametrize(
-        "spec", ["a=-1000000000000,b=0", "lambda=1/100000000000000000000"]
+        "spec",
+        [
+            # 2-torsion (0, 0), and 3 * a.bit_length() = 29,898 bits
+            pytest.param("a=-1" + "0" * 3000 + ",b=0", id="a=-10^3000,b=0"),
+            "lambda=1/100000000000000000000",
+        ],
     )
     def test_over_budget_is_one_error_line(self, capsys, wall_bound, spec):
         with wall_bound(5):
@@ -486,9 +503,11 @@ class TestIntegersPastTheDigitLimit:
     def test_a_long_curve_is_named_by_its_bits(self, capsys, wall_bound):
         lam = 10**4000  # its Legendre curve's a and b pass the digit limit
         curve = elliptic.legendre_model(lam).curve
+        size = max(3 * curve.a.bit_length(), 2 * curve.b.bit_length())
         message = (
-            f"Nagell-Lutz window of y^2 = x^3 + {bits_text(curve.a)}*x + "
-            f"{bits_text(curve.b)} over {elliptic._STEP_CAP} values"
+            f"torsion of y^2 = x^3 + {bits_text(curve.a)}*x + {bits_text(curve.b)}: "
+            f"max(3 * a.bit_length(), 2 * b.bit_length()) = {size} is past "
+            f"{elliptic._TORSION_BITS_CAP}"
         )
         with wall_bound(10):
             result = run_cli(capsys, "torsion", f"lambda={lam}")

@@ -26,6 +26,7 @@ from afcurves.elliptic import (
     rational_lambdas_from_j,
     torsion_subgroup,
 )
+from afcurves.exact_linalg import BudgetExceeded
 from afcurves.zeta import count_points
 
 E_CM = CurveQ(-1, 0)  # y^2 = x^3 - x
@@ -247,25 +248,36 @@ class TestTorsionSubgroup:
             assert mul_point(curve, group.exponent(), p) == INFINITY
 
     def test_non_integral_multiple_ends_the_order_search(self, monkeypatch):
-        # y^2 = x^3 - x + 1 has trivial torsion and three Nagell-Lutz candidates,
-        # each of infinite order; leaving Z^2 stops each within a few additions
-        # (8 in all), where running on to 12P would take 33
-        candidates, additions = [], []
-
-        def order_up_to(e, p):
-            candidates.append(p)
-            return order(e, p)
+        # y^2 = x^3 - x + 1 has trivial torsion and three strong Nagell-Lutz
+        # candidates (x, 1), x = -1, 0, 1, each of infinite order; leaving Z^2
+        # stops each within a few additions (8 in all), where running on to
+        # 12P would take 33
+        additions = []
 
         def add(e, p, q):
             additions.append(p)
             return plus(e, p, q)
 
-        order, plus = elliptic._order_up_to, elliptic.add_points
-        monkeypatch.setattr(elliptic, "_order_up_to", order_up_to)
+        plus = elliptic.add_points
         monkeypatch.setattr(elliptic, "add_points", add)
-        assert torsion_subgroup(CurveQ(-1, 1))[0] == AbelianGroup(())
-        assert len(candidates) == 3
-        assert len(additions) <= 3 * len(candidates)
+        e = CurveQ(-1, 1)
+        assert [elliptic._order_up_to(e, Point(x, 1)) for x in (-1, 0, 1)] == [None] * 3
+        assert len(additions) == 8
+
+    def test_a_gcd_of_one_tries_no_candidate(self, monkeypatch):
+        # #E(F_3) = 7 and #E(F_5) = 8 for y^2 = x^3 - x + 1, so g = 1 at the
+        # second good prime proves the torsion trivial with no point tried
+        candidates = []
+
+        def order_up_to(e, p):
+            candidates.append(p)
+            return order(e, p)
+
+        order = elliptic._order_up_to
+        monkeypatch.setattr(elliptic, "_order_up_to", order_up_to)
+        assert elliptic._reduction_gcd(CurveQ(-1, 1)) == (1, [3, 5])
+        assert torsion_subgroup(CurveQ(-1, 1)) == (AbelianGroup(()), [INFINITY])
+        assert candidates == []
 
     @pytest.mark.parametrize("curve", [CurveQ(-1, 0), CurveQ(-4, 0), CurveQ(4, 0)])
     def test_torsion_injects_into_good_reductions(self, curve):
@@ -354,3 +366,69 @@ class TestFormerOffenders:
         with wall_bound(5):
             assert set(rational_lambdas_from_j(j_from_lambda(lam))) == lambda_orbit(lam)
 
+
+class TestTorsionByReduction:
+    """The gcd of #E(F_l) and the division-polynomial roots: the targets,
+    and the cap on each side."""
+
+    def test_a_minus_ten_to_the_six_within_10_ms(self, wall_bound):
+        with wall_bound(0.01):
+            group, _ = torsion_subgroup(CurveQ(-(10**6), 0))
+        assert group == AbelianGroup((2, 2))
+
+    def test_a_discriminant_near_1e40_within_50_ms(self, wall_bound):
+        u = 730  # y^2 = x^3 - 43x + 166 (torsion Z_7) scaled by u
+        curve = CurveQ(-43 * u**4, 166 * u**6)
+        assert 10**39 < abs(4 * curve.a**3 + 27 * curve.b**2) < 10**41
+        with wall_bound(0.05):
+            group, _ = torsion_subgroup(curve)
+        assert group == AbelianGroup((7,))
+
+    @staticmethod
+    def nine_torsion(k):
+        """y^2 = x^3 - 219x + 1654, torsion Z_9, scaled by u = 2^k + 1: g_9,
+        the costliest division polynomial, decides it."""
+        u = 2**k + 1
+        return CurveQ(-219 * u**4, 1654 * u**6)
+
+    def test_the_largest_admitted_size_runs(self, wall_bound):
+        curve = self.nine_torsion(1998)
+        assert 3 * curve.a.bit_length() == elliptic._TORSION_BITS_CAP == 24_000
+        with wall_bound(1):
+            group, _ = torsion_subgroup(curve)
+        assert group == AbelianGroup((9,))
+
+    def test_past_the_cap_refuses_before_the_division_polynomials(
+        self, wall_bound, monkeypatch
+    ):
+        monkeypatch.setattr(elliptic, "_division_polynomial", None)  # a call fails
+        with wall_bound(0.05), pytest.raises(BudgetExceeded) as exc:
+            torsion_subgroup(self.nine_torsion(1999))
+        assert str(exc.value).endswith(
+            ": max(3 * a.bit_length(), 2 * b.bit_length()) = 24012 is past 24000"
+        )
+
+    def test_a_gcd_of_one_decides_past_the_cap(self, wall_bound):
+        # #E(F_3) and #E(F_5) are coprime: the torsion is trivial whatever the size
+        curve = CurveQ(10**9000 + 1, 1)
+        assert elliptic._reduction_gcd(curve) == (1, [3, 5])
+        with wall_bound(0.05):
+            assert torsion_subgroup(curve) == (AbelianGroup(()), [INFINITY])
+
+    @pytest.mark.parametrize(
+        "ab,m",
+        [((-43, 166), 7), ((-219, 1654), 9), ((45333, -1978074), 8), ((-2, 1), 4)],
+    )
+    def test_division_polynomials_vanish_at_the_torsion_x(self, ab, m):
+        # each point of order k | m, not 2-torsion, has its x a root of g_m;
+        # the modulus is a large odd prime, so this is nearly the integer identity
+        n = 2**127 - 1
+        curve = CurveQ(*ab)
+        for k in range(m + 1):
+            g = elliptic._division_polynomial(curve.a, curve.b, k, n)
+            assert len(g) - 1 == max(0, (k * k - (4 if k % 2 == 0 else 1)) // 2)
+            assert g[-1] == k % n
+        g = elliptic._division_polynomial(curve.a, curve.b, m, n)
+        for pt in torsion_subgroup(curve)[1][1:]:
+            if pt.y != 0:
+                assert elliptic._horner(g, int(pt.x), n) == 0, pt

@@ -805,6 +805,26 @@ class TestTracePower:
                     power = power @ m
                 assert power == mat_pow(m, 41)
 
+    def test_the_largest_admitted_exponent_runs(self, wall_bound):
+        # ||A_STD|| = 7, so k * floor(log2 7) = 2k meets 2^20 at k = 2^19
+        k = 2**19
+        with wall_bound(1):
+            t = trace_power(A_STD, k)
+        assert t == trace_power(A_STD, k - 1) * 6 - trace_power(A_STD, k - 2)
+
+    @pytest.mark.parametrize("k", [2**19 + 1, 10**6, 10**100])
+    def test_an_exponent_past_the_bound_refuses_before_the_ladder(self, wall_bound, k):
+        with wall_bound(0.05), pytest.raises(exact_linalg.BudgetExceeded) as exc:
+            trace_power(A_STD, k)
+        assert str(exc.value) == (
+            f"tr(m^k) at k = {k}: k * floor(log2 ||m||) = {2 * k} is past 2^20"
+        )
+
+    def test_a_row_sum_of_one_takes_any_exponent(self):
+        # floor(log2 1) = 0: the powers of a permutation stay permutations
+        assert trace_power(IntMatrix([[0, 1], [1, 0]]), 10**100) == 2
+        assert trace_power(IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), 3 * 10**50) == 3
+
     @pytest.mark.parametrize("p", [20011, 29989])
     @pytest.mark.parametrize(
         "rows",

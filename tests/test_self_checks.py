@@ -181,3 +181,10 @@ def test_exp_and_closed_zeta_disagreeing_raise(monkeypatch, counts):
     monkeypatch.setattr(zeta, "_curve_counts", lambda a_p, p, order: iter(counts))
     with pytest.raises(RuntimeError, match="exp and closed zeta coefficients differ"):
         zeta.curve_local_zeta(elliptic.CurveQ(-1, 0), 5, 2)
+
+
+def test_a_double_root_mod_the_lifting_prime_raises():
+    # x^2 has a double root at 0 mod 3: Hensel cannot lift it to one root,
+    # and torsion_subgroup only hands in polynomials squarefree mod the prime
+    with pytest.raises(RuntimeError, match="double root mod 3"):
+        elliptic._integer_root_candidates([0, 0, 1], 3, 27)

@@ -645,3 +645,40 @@ def test_local_bits_bound_holds_every_report_integer(a, ca, cb, p, order, alpha)
     report = compare_local(e, a, p, order, alpha=alpha)
     bound = zeta.local_bits_bound(a, p, order)
     assert max(x.bit_length() for x in _report_ints(report)) <= bound
+
+
+class TestShanksMestreBound:
+    """Shanks-Mestre grows as p^(1/4); every curve-side entry refuses past
+    p = 2^58 (_SHANKS_MESTRE_MAX) before it counts."""
+
+    LARGEST = 288230376151711717  # the largest prime below 2^58
+    SMALLEST_REFUSED = 288230376151711813  # the smallest prime past it
+    E = CurveQ(-1, 1)
+
+    def test_the_bound_sits_between_the_two_primes(self):
+        assert zeta._SHANKS_MESTRE_MAX == 2**58
+        assert is_prime(self.LARGEST) and is_prime(self.SMALLEST_REFUSED)
+        assert not any(map(is_prime, range(self.LARGEST + 1, 2**58 + 1)))
+        assert not any(map(is_prime, range(2**58, self.SMALLEST_REFUSED)))
+
+    def test_the_largest_admitted_prime_is_counted(self, wall_bound):
+        p = self.LARGEST
+        with wall_bound(1):
+            a_p = trace_frobenius(self.E, p)
+        assert a_p * a_p <= 4 * p
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e, p: trace_frobenius(e, p),
+            lambda e, p: count_points(e, p, 1),
+            lambda e, p: curve_local_zeta(e, p, 1),
+            lambda e, p: compare_local(e, A_STD, p, 1),
+        ],
+        ids=["trace_frobenius", "count_points", "curve_local_zeta", "compare_local"],
+    )
+    def test_past_the_bound_every_entry_refuses_before_the_count(self, wall_bound, call):
+        p = self.SMALLEST_REFUSED
+        with wall_bound(0.05), pytest.raises(BudgetExceeded) as exc:
+            call(self.E, p)
+        assert str(exc.value) == f"p = {p} is past 2^58, where #E(F_p) is no longer counted"
