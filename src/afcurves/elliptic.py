@@ -12,7 +12,9 @@ b and of division polynomials, found mod one prime and Hensel-lifted past
 the Nagell-Lutz bound on x.  No search scans a window of x.  The divisor
 search of legendre_model past _STEP_CAP steps, and the division polynomials
 past _TORSION_BITS_CAP bits of a^3 and b^2, raise BudgetExceeded before they
-start.  All arithmetic is exact (Fraction); a float argument raises
+start.  All arithmetic is exact: the group law on Fractions, and the walk
+over a candidate torsion point's multiples (_order_up_to) on integers, which
+stops at the first slope that is no integer; a float argument raises
 TypeError.
 """
 
@@ -301,16 +303,32 @@ MAZUR_ADMISSIBLE = frozenset(
 
 
 def _order_up_to(e: CurveQ, p: Point):
-    """Order of p if at most 12, else None: then p is non-torsion (Mazur)."""
-    acc = p
+    """Order of p if at most 12, else None: then p is non-torsion (Mazur).
+
+    p must be an integral point of e, checked once; any other p raises
+    RuntimeError.  The multiples k p, k = 2..12, are walked in integers,
+    each slope a divmod.  A torsion point is integral (Nagell-Lutz), and a
+    slope u/v in lowest terms with v > 1 gives x = (u/v)^2 - x_1 - x_2 the
+    denominator v^2, so a slope that is no integer proves p of infinite
+    order and ends the walk before any denominator grows."""
+    if p.is_infinity or p.x.denominator != 1 or p.y.denominator != 1:
+        raise RuntimeError(f"{p} is not an integral point")
+    a, x0, y0 = e.a, p.x.numerator, p.y.numerator
+    if y0 * y0 != (x0 * x0 + a) * x0 + e.b:
+        raise RuntimeError(f"{p} is not on {e}")
+    x, y = x0, y0  # (k - 1) p
     for k in range(2, 13):
-        acc = add_points(e, acc, p)
-        if acc.is_infinity:
-            return k
-        # torsion points have integral coordinates; leaving Z^2 proves
-        # infinite order and stops the denominators from growing
-        if acc.x.denominator != 1 or acc.y.denominator != 1:
+        if x == x0:
+            if y == -y0:  # includes the y = 0 tangent case
+                return k
+            num, den = 3 * x * x + a, 2 * y  # only at k = 2: the tangent at p
+        else:
+            num, den = y - y0, x - x0
+        slope, rest = divmod(num, den)
+        if rest:
             return None
+        x3 = slope * slope - x - x0
+        x, y = x3, slope * (x - x3) - y
     return None
 
 
@@ -448,10 +466,11 @@ def torsion_subgroup(e: CurveQ):
     roots are found mod one good prime l that does not divide g and lifted
     past twice the Nagell-Lutz x bound; a lifted x is kept if f(x) = 0, or
     if f(x) is a square and some multiple up to 12 of (x, sqrt f(x)) hits
-    infinity.  The group is the sum of its primary parts.  When g > 1 and
-    max(3 * a.bit_length(), 2 * b.bit_length()) passes _TORSION_BITS_CAP it
-    raises BudgetExceeded before the division polynomials.  Points come back
-    sorted with infinity first.
+    infinity, walked in integers by _order_up_to.  The group is the sum of
+    its primary parts.  When g > 1 and max(3 * a.bit_length(),
+    2 * b.bit_length()) passes _TORSION_BITS_CAP it raises BudgetExceeded
+    before the division polynomials.  Points come back sorted with infinity
+    first.
     """
     a, b = e.a, e.b
     g, primes = _reduction_gcd(e)

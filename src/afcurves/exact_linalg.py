@@ -72,7 +72,9 @@ class Record:
 
     The generic __init__ takes them by position or keyword, a class attribute
     of the same name being the default, then calls __post_init__ (which sets
-    through object.__setattr__).  ==, hash and repr go by the field values.
+    through object.__setattr__).  A call that passes every field by position
+    and no keyword skips the walk over names and defaults; __post_init__
+    runs all the same.  ==, hash and repr go by the field values.
     """
 
     _fields = ()
@@ -82,17 +84,19 @@ class Record:
         cls._fields += tuple(cls.__annotations__)  # after any inherited fields
 
     def __init__(self, *args, **kwargs):
-        cls, names = type(self), self._fields
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments")
-        values = dict(zip(names, args))
-        for name in names[len(args):]:
-            if name not in kwargs and not hasattr(cls, name):  # no default
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-            values[name] = kwargs.pop(name) if name in kwargs else getattr(cls, name)
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got unexpected or repeated {[*kwargs]}")
-        self.__dict__.update(values)
+        names = self._fields
+        if kwargs or len(args) != len(names):  # not every field by position
+            cls = type(self)
+            if len(args) > len(names):
+                raise TypeError(f"{cls.__name__}() takes {len(names)} arguments")
+            args = list(args)
+            for name in names[len(args):]:
+                if name not in kwargs and not hasattr(cls, name):  # no default
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                args.append(kwargs.pop(name) if name in kwargs else getattr(cls, name))
+            if kwargs:
+                raise TypeError(f"{cls.__name__}() got unexpected or repeated {[*kwargs]}")
+        self.__dict__.update(zip(names, args))
         self.__post_init__()
 
     def __post_init__(self):

@@ -7,7 +7,10 @@ a Shanks-Mestre baby-step giant-step count above (O(p^(1/4)) group steps,
 certified unique in the Hasse interval by points of E and of its quadratic
 twist), and past p = 2^58 every curve-side entry refuses with BudgetExceeded
 before it counts; every n > 1 follows from a_p by the Frobenius-trace
-recurrence.
+recurrence.  The residue count reads two tables of p, the number of square
+roots of each residue and x^3 for each x, built at p's first count and kept
+(_RESIDUE_TABLES) for the 49 odd primes up to RESIDUE_COUNT_MAX alone; a
+larger p, which count_points_enumerated may pass, builds them for the call.
 The residue count and count_points_enumerated, which counts over a
 constructed F_{p^n} table, are the tests' independent oracles.
 
@@ -162,13 +165,32 @@ def _check_good_odd_prime(e, p) -> int:
     return p
 
 
-def _count_points_prime_field(e, p: int) -> int:
-    sq_count = [0] * p
+def _residue_tables(p: int) -> tuple:
+    """(squares, cubes) at an odd prime p: squares[r] is the number of y in
+    F_p with y^2 = r, and cubes[x] is x^3 mod p."""
+    squares = [0] * p
     for y in range(p):
-        sq_count[y * y % p] += 1
+        squares[y * y % p] += 1
+    return tuple(squares), tuple([x * x * x % p for x in range(p)])
+
+
+# _residue_tables of each prime p <= RESIDUE_COUNT_MAX, built at its first
+# count and kept: at most 49 pairs of tuples, one per odd prime up to 229.
+_RESIDUE_TABLES = {}
+
+
+def _count_points_prime_field(e, p: int) -> int:
+    """#E(F_p) at an odd prime p, infinity included: 1 plus, over each x, the
+    number of y with y^2 = x^3 + ax + b, read from p's residue tables.  Past
+    RESIDUE_COUNT_MAX the tables are built for the call and not kept."""
+    tables = _RESIDUE_TABLES.get(p)
+    if tables is None:
+        tables = _residue_tables(p)
+        if p <= RESIDUE_COUNT_MAX:
+            _RESIDUE_TABLES[p] = tables
+    squares, cubes = tables
     a, b = e.a % p, e.b % p
-    affine = sum(sq_count[(x * x * x + a * x + b) % p] for x in range(p))
-    return affine + 1
+    return 1 + sum([squares[(c + a * x + b) % p] for x, c in enumerate(cubes)])
 
 
 # --- Shanks-Mestre: #E(F_p) from point orders over the Hasse interval ------
@@ -555,9 +577,9 @@ def _operator_side(a: IncidenceMatrix, p: int, order: int, alpha) -> tuple:
     tr_ap = trace_power(a.m, p)
     if bad:
         counts = tuple(abs(1 - alpha**n) for n in range(1, order + 1))
-        return counts, OperatorParams(trace_power=tr_ap, branch="bad", alpha=alpha)
-    counts = tuple(abs(c) for c in _curve_counts(tr_ap, p, order))
-    return counts, OperatorParams(trace_power=tr_ap, branch="good", alpha=None)
+        return counts, OperatorParams(tr_ap, "bad", alpha)
+    counts = tuple(map(abs, _curve_counts(tr_ap, p, order)))
+    return counts, OperatorParams(tr_ap, "good", None)
 
 
 def compare_local(
@@ -570,11 +592,11 @@ def compare_local(
     a_p = _trace_frobenius(e, p)
     curve_counts = tuple(_curve_counts(a_p, p, order))
     return LocalZetaReport(
-        prime=p,
-        curve_counts=curve_counts,
-        a_p=a_p,
-        curve_factor=CurveFactor(*_local_factor(a_p, p)),
-        operator_counts=operator_counts,
-        operator_params=operator_params,
-        match_flags=tuple(c == o for c, o in zip(curve_counts, operator_counts)),
+        p,
+        curve_counts,
+        a_p,
+        CurveFactor(*_local_factor(a_p, p)),
+        operator_counts,
+        operator_params,
+        tuple([c == o for c, o in zip(curve_counts, operator_counts)]),
     )

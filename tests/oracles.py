@@ -3,6 +3,7 @@ but not part of them."""
 
 from math import prod
 
+from afcurves.elliptic import CurveQ, Point, add_points
 from afcurves.exact_linalg import IntMatrix, IntPolynomial, determinantal_divisors
 
 
@@ -90,3 +91,18 @@ def block_product(period) -> IntMatrix:
     for a in period:
         m = m @ IntMatrix([[a, 1], [1, 0]])
     return m if is_strictly_positive(m) else m @ m
+
+
+def order_up_to(e: CurveQ, p: Point):
+    """The order of p if at most 12, else None, by adding p to its last
+    multiple in Fractions through the public add_points, which checks both
+    points on e at each addition; a multiple that leaves Z^2 proves p of
+    infinite order.  The oracle for elliptic._order_up_to."""
+    acc = p
+    for k in range(2, 13):
+        acc = add_points(e, acc, p)
+        if acc.is_infinity:
+            return k
+        if acc.x.denominator != 1 or acc.y.denominator != 1:
+            return None
+    return None

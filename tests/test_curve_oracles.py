@@ -8,13 +8,17 @@ every integer x of `elliptic._nagell_lutz_window`, O(|D|^(1/3)) values.
 polynomial, p over its constant term and q over its leading one.  The
 d-scan and the sextic run O(sqrt) trial division through
 `elliptic._divisors`, so they stay on small inputs here, and the window on
-windows of at most a few hundred thousand x.
+windows of at most a few hundred thousand x.  Both scans take a point's
+order from `oracles.order_up_to`, the walk in Fractions over the public
+`add_points`, and the package's integer walk `elliptic._order_up_to` is held
+to it on every integral point those windows meet.
 
 The CM curves, the paper's own case, are also held to Olson's theorem
 (Manuscripta Math. 14, 1974): the torsion of an elliptic curve over Q with
 complex multiplication is one of 0, Z_2, Z_3, Z_4, Z_6 and Z_2 + Z_2.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -40,6 +44,7 @@ from afcurves.elliptic import (
     rational_lambdas_from_j,
     torsion_subgroup,
 )
+from oracles import order_up_to
 
 
 def _roots_by_divisors(a: int, c: int) -> list:
@@ -65,7 +70,7 @@ def scan_torsion_points(e: CurveQ) -> list:
             continue
         for x in _roots_by_divisors(e.a, e.b - d * d):
             candidate = Point(x, d)
-            if _order_up_to(e, candidate) is not None:
+            if order_up_to(e, candidate) is not None:
                 points.add(candidate)
                 points.add(negate(candidate))
     return sorted(points, key=lambda pt: (not pt.is_infinity, pt.x, pt.y))
@@ -85,9 +90,19 @@ def window_torsion_points(e: CurveQ) -> list:
             points.add(Point(x, 0))
         elif fx > 0 and d % fx == 0 and isqrt(fx) ** 2 == fx:
             candidate = Point(x, isqrt(fx))
-            if _order_up_to(e, candidate) is not None:
+            if order_up_to(e, candidate) is not None:
                 points.update((candidate, negate(candidate)))
     return sorted(points, key=lambda pt: (not pt.is_infinity, pt.x, pt.y))
+
+
+def window_points(e: CurveQ):
+    """Every integral point (x, +-sqrt f(x)) of e with x in the strong
+    Nagell-Lutz window, torsion or not."""
+    r, top = _nagell_lutz_window(e.a, e.b)
+    for x in range(1 - r, top + 1):
+        fx = (x * x + e.a) * x + e.b
+        if fx >= 0 and isqrt(fx) ** 2 == fx:
+            yield from {Point(x, isqrt(fx)), Point(x, -isqrt(fx))}
 
 
 def sextic_lambdas(j) -> list:
@@ -176,18 +191,18 @@ def test_torsion_matches_scan_on_mazur_curves(ab, torsion):
 
 # short models -27 c4, -54 c6 of Cremona's curves, whose discriminants are
 # past the scan's reach; the groups are the tabulated ones
-@pytest.mark.parametrize(
-    "label,ab,torsion",
-    [
-        ("11a1", (-13392, -1080432), (5,)),
-        ("14a1", (5805, -285714), (6,)),
-        ("15a4", (45333, -1978074), (8,)),
-        ("66c1", (-58347, 3954150), (10,)),
-        ("90c3", (-157707, 78888006), (12,)),
-        ("15a1", (-12987, -263466), (2, 4)),
-        ("30a2", (-24003, 1296702), (2, 6)),
-    ],
-)
+CREMONA_CURVES = [
+    ("11a1", (-13392, -1080432), (5,)),
+    ("14a1", (5805, -285714), (6,)),
+    ("15a4", (45333, -1978074), (8,)),
+    ("66c1", (-58347, 3954150), (10,)),
+    ("90c3", (-157707, 78888006), (12,)),
+    ("15a1", (-12987, -263466), (2, 4)),
+    ("30a2", (-24003, 1296702), (2, 6)),
+]
+
+
+@pytest.mark.parametrize("label,ab,torsion", CREMONA_CURVES)
 def test_torsion_of_tabulated_curves(label, ab, torsion):
     group, _ = torsion_subgroup(CurveQ(*ab))
     assert group == AbelianGroup(torsion), label
@@ -312,9 +327,43 @@ def test_kubert_curves_keep_their_point_of_order_n(n, t):
     group, points = torsion_subgroup(curve)
     assert point in points and group.order() % n == 0, (n, t)
     assert group in MAZUR_ADMISSIBLE
+    for pt in points[1:]:
+        assert _order_up_to(curve, pt) == order_up_to(curve, pt), (n, t, pt)
+    assert _order_up_to(curve, point) == n, (n, t)
     r, top = _nagell_lutz_window(curve.a, curve.b)
     if top + r < 2 * 10**5:
         assert points == window_torsion_points(curve), (n, t)
+
+
+def test_the_integer_walk_matches_the_fraction_walk_on_the_box(wall_bound):
+    """elliptic._order_up_to against oracles.order_up_to on every integral
+    point in the windows of the box's curves: 818 torsion points of orders
+    2, 3, 4 and 6, and 22,516 points that leave Z^2 within 12 steps."""
+    orders = Counter()
+    with wall_bound(30):
+        for a in range(-BOX, BOX + 1):
+            for b in range(-BOX, BOX + 1):
+                if 4 * a**3 + 27 * b * b != 0:
+                    e = CurveQ(a, b)
+                    for pt in window_points(e):
+                        orders[k := _order_up_to(e, pt)] += 1
+                        assert k == order_up_to(e, pt), (a, b, pt)
+    assert orders == {2: 748, 3: 42, 4: 24, 6: 4, None: 22516}
+
+
+@pytest.mark.parametrize(
+    "ab", [*MAZUR_CURVES, *(ab for _, ab, _ in CREMONA_CURVES)], ids=str
+)
+def test_the_integer_walk_matches_the_fraction_walk_on_named_curves(ab):
+    # every integral point of these windows is torsion, of each order the
+    # group has but 1
+    curve = CurveQ(*ab)
+    orders = set()
+    for pt in window_points(curve):
+        orders.add(k := _order_up_to(curve, pt))
+        assert k == order_up_to(curve, pt), pt
+    exponent = torsion_subgroup(curve)[0].exponent()
+    assert orders == {k for k in range(2, 13) if exponent % k == 0}
 
 
 # Olson's list: the torsion groups of CM curves over Q

@@ -249,20 +249,54 @@ class TestTorsionSubgroup:
 
     def test_non_integral_multiple_ends_the_order_search(self, monkeypatch):
         # y^2 = x^3 - x + 1 has trivial torsion and three strong Nagell-Lutz
-        # candidates (x, 1), x = -1, 0, 1, each of infinite order; leaving Z^2
-        # stops each within a few additions (8 in all), where running on to
-        # 12P would take 33
-        additions = []
+        # candidates (x, 1), x = -1, 0, 1, each of infinite order; a slope
+        # that is no integer stops each within a few steps (8 in all), where
+        # running on to 12P would take 33.  Each step of the walk takes one
+        # slope, a divmod, and calls no add_points.
+        steps = []
+
+        def slope(num, den):
+            steps.append((num, den))
+            return divmod(num, den)
 
         def add(e, p, q):
-            additions.append(p)
-            return plus(e, p, q)
+            raise AssertionError("the order walk calls add_points")
 
-        plus = elliptic.add_points
+        monkeypatch.setattr(elliptic, "divmod", slope, raising=False)
         monkeypatch.setattr(elliptic, "add_points", add)
         e = CurveQ(-1, 1)
         assert [elliptic._order_up_to(e, Point(x, 1)) for x in (-1, 0, 1)] == [None] * 3
-        assert len(additions) == 8
+        assert len(steps) == 8
+
+    @pytest.mark.parametrize(
+        "point,message",
+        [
+            (Point(Fraction(129, 100), Fraction(383, 1000)), "not an integral point"),
+            (INFINITY, "not an integral point"),
+            (Point(3, -4), "not on y"),
+        ],
+        ids=["not integral", "infinity", "off the curve"],
+    )
+    def test_the_order_walk_refuses_a_point_it_cannot_walk(self, point, message):
+        # (129/100, 383/1000) = -2 (3, 5) lies on y^2 = x^3 - 2 but is not integral
+        with pytest.raises(RuntimeError, match=message):
+            elliptic._order_up_to(CurveQ(0, -2), point)
+
+    @pytest.mark.parametrize(
+        "ab,point,order",
+        [
+            ((-1, 0), Point(1, 0), 2),
+            ((0, 1), Point(0, 1), 3),
+            ((-2, 1), Point(0, 1), 4),
+            ((0, 1), Point(2, -3), 6),
+            ((-43, 166), Point(3, 8), 7),
+            ((-219, 1654), Point(3, 32), 3),
+            ((-219, 1654), Point(-13, 48), 9),
+            ((0, -2), Point(3, 5), None),
+        ],
+    )
+    def test_the_order_walk_finds_each_order(self, ab, point, order):
+        assert elliptic._order_up_to(CurveQ(*ab), point) == order
 
     def test_a_gcd_of_one_tries_no_candidate(self, monkeypatch):
         # #E(F_3) = 7 and #E(F_5) = 8 for y^2 = x^3 - x + 1, so g = 1 at the

@@ -23,7 +23,7 @@ from afcurves.corpus import (
     PolynomialVerdict,
 )
 from afcurves.elliptic import CurveQ, LegendreModel, Point, SingularCurve
-from afcurves.exact_linalg import IntMatrix, IntPolynomial, SmithDecomposition
+from afcurves.exact_linalg import IntMatrix, IntPolynomial, Record, SmithDecomposition
 from afcurves.zeta import CurveFactor, LocalZetaReport, OperatorParams, ZetaSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -83,6 +83,7 @@ class TestRecordSemantics:
         objs = [cls(*args), cls(**by_keyword), cls(args[0], **{k: by_keyword[k] for k in rest})]
         assert objs[0] == objs[1] == objs[2]
         assert len({hash(obj) for obj in objs}) == 1
+        assert len({repr(obj) for obj in objs}) == 1
 
     def test_equal_values_equal_and_hash_equal(self, cls, names, args):
         x, y = cls(*args), cls(*args)
@@ -122,6 +123,24 @@ class TestRecordSemantics:
             cls(*args, **{names[0]: args[0]})  # a second value for the first field
         with pytest.raises(TypeError):
             cls()  # every class has a field without a default
+
+
+# the classes that build through Record.__init__ (IntMatrix and CurveQ have
+# their own)
+GENERIC = [case for case in CASES if case[0].__init__ is Record.__init__]
+
+
+@pytest.mark.parametrize("cls,names,args", GENERIC, ids=[c.__name__ for c, _, _ in GENERIC])
+def test_the_generic_init_names_each_argument_error(cls, names, args):
+    name = cls.__name__
+    with pytest.raises(TypeError, match=rf"^{name}\(\) takes {len(names)} arguments$"):
+        cls(*args, "extra")
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing argument '{names[0]}'$"):
+        cls(**dict(zip(names[1:], args[1:])))  # no first field has a default
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got unexpected or repeated \['x'\]$"):
+        cls(*args, x=1)
+    with pytest.raises(TypeError, match=rf"repeated \['{names[0]}'\]$"):
+        cls(*args, **{names[0]: args[0]})
 
 
 def test_distinct_classes_with_equal_fields_are_unequal():
@@ -188,6 +207,18 @@ class TestPostInitValidation:
             Point(Fraction(1), None)
         with pytest.raises(ValueError, match="both coordinates or neither"):
             Point(x=None, y=Fraction(1))
+
+    def test_every_field_by_position_still_validates(self):
+        # the positional fast path skips the keyword walk, not __post_init__
+        with pytest.raises(TypeError, match="float"):
+            Point(1.0, 2)
+        assert Point(1, 2).x == Fraction(1) and type(Point(1, 2).x) is Fraction
+        with pytest.raises(ValueError, match="divisibility chain"):
+            AbelianGroup((2, 3), 0)
+        with pytest.raises(TypeError):
+            IntMatrix([[1.0]])
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix([[1, 2], [3]])
 
 
 def modules_added_by_cli_import(preload: str) -> list:

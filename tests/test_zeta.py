@@ -245,6 +245,59 @@ class TestCountPoints:
             assert count_points(e, p, n) == expected
 
 
+# the 49 odd primes up to RESIDUE_COUNT_MAX, the residue count's tables
+RESIDUE_PRIMES = [p for p in SMALL_PRIMES if 2 < p <= RESIDUE_COUNT_MAX]
+
+
+def euler_count(a: int, b: int, p: int) -> int:
+    """1 + sum over x of 1 + (f(x) / p), the Legendre symbol by Euler's
+    criterion: the points of y^2 = x^3 + ax + b over F_p, infinity included."""
+    total = 1
+    for x in range(p):
+        symbol = pow((x**3 + a * x + b) % p, (p - 1) // 2, p)
+        total += 1 + (symbol if symbol < 2 else -1)
+    return total
+
+
+class TestResidueTables:
+    def test_every_odd_prime_up_to_the_bound_has_a_table(self):
+        assert len(RESIDUE_PRIMES) == 49 and RESIDUE_PRIMES[-1] == RESIDUE_COUNT_MAX
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9))
+    @example(0, 1)
+    @example(-1, 0)
+    def test_count_matches_eulers_criterion_at_every_table_prime(self, a, b):
+        assume(4 * a**3 + 27 * b * b != 0)
+        e = CurveQ(a, b)
+        for p in RESIDUE_PRIMES:
+            assert zeta._count_points_prime_field(e, p) == euler_count(a, b, p), p
+
+    def test_only_primes_up_to_the_bound_are_kept(self, monkeypatch):
+        monkeypatch.setattr(zeta, "_RESIDUE_TABLES", {})
+        e = CurveQ(-1, 1)
+        assert count_points_enumerated(e, 1009, 1) == euler_count(-1, 1, 1009)
+        assert count_points(e, 233, 1) == euler_count(-1, 1, 233)
+        assert zeta._count_points_prime_field(e, 233) == euler_count(-1, 1, 233)
+        assert zeta._RESIDUE_TABLES == {}
+        for p in (3, 43, 229):
+            count_points_enumerated(e, p, 1)
+        assert sorted(zeta._RESIDUE_TABLES) == [3, 43, 229]
+
+    def test_tables_are_tuples_built_once(self, monkeypatch):
+        monkeypatch.setattr(zeta, "_RESIDUE_TABLES", {})
+        for p in RESIDUE_PRIMES:
+            zeta._count_points_prime_field(CurveQ(-1, 1), p)
+        first = dict(zeta._RESIDUE_TABLES)
+        for p in RESIDUE_PRIMES:
+            zeta._count_points_prime_field(CurveQ(2, 3), p)
+            squares, cubes = tables = zeta._RESIDUE_TABLES[p]
+            assert tables is first[p]
+            assert type(tables) is type(squares) is type(cubes) is tuple
+            assert squares == tuple(sum(y * y % p == r for y in range(p)) for r in range(p))
+            assert cubes == tuple(pow(x, 3, p) for x in range(p))
+
+
 def _frobenius_counts(a_p: int, p: int, order: int) -> list:
     frobenius = IntMatrix([[a_p, -p], [1, 0]])
     return [p**n + 1 - mat_pow(frobenius, n).trace() for n in range(1, order + 1)]
