@@ -3,8 +3,9 @@
 Given a nonnegative unimodular incidence matrix A (some power strictly
 positive) and an integer polynomial p with p(0) = +-1, the invariant is the
 finitely generated abelian group Z^n / p(A) Z^n, an exact_linalg.AbelianGroup
-read off the Smith diagonal of p(A) that exact_linalg.smith_diagonal gives
-(its route and checks are in exact_linalg's docstring).  The group is
+read off the Smith diagonal of p(A) with every check that
+exact_linalg.smith_diagonal makes (its route and checks are in
+exact_linalg's docstring), p(A) staying a plain list of rows.  The group is
 unchanged by GL_n(Z) conjugation of A, which the probe harness checks on
 random conjugates made by elementary moves on a copy of A (no B), one 64-bit
 draw a move, read off a table of moves built once a probe and applied by
@@ -28,11 +29,10 @@ from .exact_linalg import (
     exact_int,
     exact_int_at_least,
     int_text,
-    mat_poly_eval,
-    smith_diagonal,
     _MOVE_FACTORS,
     _moves,
     _poly_eval_rows,
+    _poly_smith_diagonal,
     _smith_diagonal,
 )
 
@@ -112,7 +112,7 @@ def quotient_group(m: IntMatrix, p: IntPolynomial) -> AbelianGroup:
         raise BadConstantTerm(
             f"constant term must be +1 or -1, got {p.constant_term}"
         )
-    return AbelianGroup.from_smith_diagonal(smith_diagonal(mat_poly_eval(p, m)))
+    return AbelianGroup.from_smith_diagonal(_poly_smith_diagonal(p, m))
 
 
 def abelianize(a: IncidenceMatrix, p: IntPolynomial) -> AbelianGroup:

@@ -392,16 +392,19 @@ def _division_polynomial(a: int, b: int, m: int, n: int) -> list:
     g_(2k+1) = g_(k+2) g_k^3 - g_(k-1) g_(k+1)^3, where f^2 multiplies the
     term whose indices are even, and
     g_(2k) = g_k (g_(k+2) g_(k-1)^2 - g_(k-2) g_(k+1)^2) / 2 (n is odd);
-    only the g_j that g_m reaches are formed."""
+    only the g_j that g_m reaches are formed, and each g_k^2 once."""
     f = [b % n, a % n, 0, 1]
     f2 = _pmul(f, f, n)
     g = {0: [0], 1: [1], 2: [2], 3: [-a * a, 12 * b, 6 * a, 0, 3]}
     g[4] = [-4 * a**3 - 32 * b * b, -16 * a * b, -20 * a * a, 80 * b, 20 * a, 0, 4]
     g = {j: [c % n for c in poly] for j, poly in g.items()}
     half = pow(2, -1, n)
+    squares = {}
 
     def square(j: int) -> list:
-        return _pmul(at(j), at(j), n)
+        if j not in squares:
+            squares[j] = _pmul(at(j), at(j), n)
+        return squares[j]
 
     def at(j: int) -> list:
         if j not in g:

@@ -466,3 +466,26 @@ class TestTorsionByReduction:
         for pt in torsion_subgroup(curve)[1][1:]:
             if pt.y != 0:
                 assert elliptic._horner(g, int(pt.x), n) == 0, pt
+
+    @pytest.mark.parametrize(
+        "ab,m",
+        [((45333, -1978074), 8), ((-219, 1654), 9), ((-157707, 78888006), 12)],
+    )
+    def test_division_polynomials_square_each_g_k_once(self, monkeypatch, ab, m):
+        # g_8, g_9 and g_12 reach some g_k^2 from two recurrence steps; each
+        # g_k is one list for the call, so a square repeats iff one list is
+        # squared twice
+        n = 2**127 - 1
+        pmul, squared = elliptic._pmul, []
+
+        def recording(u, v, modulus):
+            if u is v:
+                squared.append(u)
+            return pmul(u, v, modulus)
+
+        monkeypatch.setattr(elliptic, "_pmul", recording)
+        g = elliptic._division_polynomial(*ab, m, n)
+        assert len({id(u) for u in squared}) == len(squared) > 1
+        for pt in torsion_subgroup(CurveQ(*ab))[1][1:]:
+            if pt.y != 0:
+                assert elliptic._horner(g, int(pt.x), n) == 0, pt

@@ -513,6 +513,44 @@ class TestSmithDiagonalModDet:
             assert minor == determinant(m) == int(sympy.Matrix(m.rows).det())
             assert g % divisors[m.n - 1] == 0
 
+    @settings(max_examples=200)
+    @given(swap_forcing(st.lists(
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3
+    ).map(IntMatrix)))
+    @example(IntMatrix([[0, 1, 2], [1, 2, 3], [2, 3, 5]]))  # swap at step 0
+    @example(IntMatrix([[2, 4, 6], [4, 2, 8], [6, 8, 2]]))  # D_2 = 4
+    def test_bareiss_g_at_n_3_is_d_2(self, m):
+        # the trailing 3 x 3 block is m itself, and prev = 1, so the nine
+        # 2 x 2 minors g comes from are every 2-minor of m
+        rank, _, g = exact_linalg._bareiss(m.rows)
+        if rank == 3:
+            assert g == determinantal_divisors(m)[1]
+
+    def test_nine_minors_send_fewer_dense_m_to_the_mod_h_route(self):
+        # 400 dense 8 x 8 M -+ I, entries in [-50, 50]: h = gcd(g, det M) > 1
+        # sends M through _smith_mod.  Four (n-1)-minors of the last 2 x 2
+        # block, the leading 6 rows and columns with one more of each, leave
+        # more h > 1 than the nine minors of the last 3 x 3 block; and
+        # D_(n-1) > 1, which forces h > 1, bounds both from below
+        rng = random.Random(36)
+        nine = four = forced = 0
+        for t in range(400):
+            rows = [[rng.randint(-50, 50) for _ in range(8)] for _ in range(8)]
+            for i in range(8):
+                rows[i][i] += 1 if t % 2 else -1
+            rank, det, g = exact_linalg._bareiss(rows)
+            assert rank == 8
+            lead = list(range(6))
+            g_four = gcd(*(
+                determinant(IntMatrix([[rows[r][c] for c in lead + [j]] for r in lead + [i]]))
+                for i in (6, 7) for j in (6, 7)
+            ))
+            nine += gcd(g, det) > 1
+            four += gcd(g_four, det) > 1
+            forced += smith_diagonal(IntMatrix(rows))[-2] > 1
+        assert (forced, nine, four) == (55, 124, 172)
+        assert forced <= nine < four
+
     @pytest.mark.parametrize(
         "chain",
         [
@@ -554,15 +592,17 @@ class TestSmithDiagonalModDet:
         assert d == snf(m).d
 
 
+Q = exact_linalg._CHECK_PRIME  # _det_mod_q's q
+
+
 def wide_entries():
     """Small entries, entries beyond +-2^30 and nonzero multiples of the
-    check prime q (0 mod q), negatives included."""
-    q = exact_linalg._CHECK_PRIME
+    check prime Q (0 mod Q), negatives included."""
     return st.one_of(
         st.integers(-9, 9),
         st.integers(2**30 + 1, 2**80),
         st.integers(-(2**80), -(2**30) - 1),
-        st.integers(-3, 3).filter(bool).map(lambda k: k * q),
+        st.integers(-3, 3).filter(bool).map(lambda k: k * Q),
     )
 
 
@@ -598,11 +638,28 @@ class TestDetModQ:
     @example(IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
     @example(IntMatrix([[0, 2**40, 1], [-(2**31), 5, 0], [3, 0, -(2**35)]]))
     @example(IntMatrix([[1, 2], [2, 4]]))  # singular
+    # entries past q are reduced where read, so a pivot that is 0 mod q but
+    # not 0 must swap, and a row left alone keeps its entries past q
+    @example(IntMatrix([[Q, 1], [1, 1]]))
+    @example(IntMatrix([[-Q, Q + 1], [2 * Q + 3, Q]]))
+    @example(IntMatrix([[2 * Q, Q + 5, 3], [Q + 1, Q, 2 * Q + 7], [Q + 2, 3 * Q + 1, -Q]]))
+    @example(IntMatrix([[Q, 2 * Q, 1], [Q + 1, Q + 2, 1], [1, 5, 2 * Q + 9]]))  # at step 1
+    @example(IntMatrix([[Q, 2], [-Q, 3]]))  # no pivot mod q in column 0: det = 5q
     def test_matches_sympy(self, m):
         rows = [list(row) for row in m.rows]
         expected = int(sympy.Matrix(rows).det()) % exact_linalg._CHECK_PRIME
         assert exact_linalg._det_mod_q(rows) == expected
         assert rows == [list(row) for row in m.rows]  # read, not changed
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )))
+    def test_entries_k_q_plus_r(self, pairs):
+        # entries k * q + r with small k and r: many are 0 mod q, few are 0
+        rows = [[k * Q + r for k, r in row] for row in pairs]
+        assert exact_linalg._det_mod_q(rows) == determinant(IntMatrix(rows)) % Q
 
 
 def test_smith_chain_rule_matches_its_comprehension_form():
