@@ -8,9 +8,11 @@ it alone (snf's docstring gives how), and verifies the certificate
 P * M * Q = diag(d).  The `snf` command and unimodular_inverse use it.
 
 smith_diagonal gives the diagonal alone; it is what invariants read.  One
-_bareiss pass gives the rank r of M, its last pivot N (+-an r-minor, det M
-when r = n) and g, the gcd of nine (n-1)-minors read off the 2 x 2 minors
-of Bareiss's last 3 x 3 block (Sylvester's identity; _bareiss gives which
+_bareiss elimination, which takes two columns a pass where it can (Bareiss
+1968's two-step, each row over prev^2) and the same pivots as one column a
+pass, gives the rank r of M, its last pivot N (+-an r-minor, det M when
+r = n) and g, the gcd of nine (n-1)-minors read off the 2 x 2 minors of
+Bareiss's last 3 x 3 block (Sylvester's identity; _bareiss gives which
 for n < 3).  For r = n, d_1 ... d_(n-1) = D_(n-1), the gcd of the
 (n-1)-minors, so every d_i with i < n divides h = gcd(g, N), _smith_mod
 reads them off M over Z/hZ, where every entry stays below h, and
@@ -404,17 +406,23 @@ def _det_mod_q(rows) -> int:
 
     The copy is not reduced first: an entry is reduced where it is read.
     Column k takes as its pivot the first row from k down whose entry there
-    is nonzero mod q, swapped up (det -> q - det); det takes the pivot mod q,
-    and each row below with f = its entry times -1/pivot nonzero mod q adds f
-    times the pivot row, every new entry reduced mod q; a row whose f is 0
-    keeps its entries as they are.  The last pivot only multiplies det: n - 1
-    inverses in all.
+    is nonzero mod q, swapped up (det -> q - det), and f = -row[k] / pivot
+    for each row below.  While k + 2 < n and row k + 1's entry in column
+    k + 1 after its step, b = row[k + 1] + f * top[k + 1], is nonzero mod q,
+    a pass takes two columns, as Bareiss 1968 takes two in integers: det
+    takes both pivots, row k + 1 takes its step, and each row below it takes
+    one pass row + f1 * top + f2 * next with f1 its f and f2 = -(its column
+    k + 1 entry after the first step) / b.  Otherwise the pass takes column
+    k alone, each row below adding f times the pivot row.  Every new entry
+    is reduced mod q; a row whose factors are all 0 keeps its entries as
+    they are.  The last pivot only multiplies det: n - 1 inverses in all.
     """
     q = _CHECK_PRIME
     a = [list(row) for row in rows]
     n = len(a)
     det = 1
-    for k in range(n - 1):
+    k = 0
+    while k < n - 1:
         top = a[k]
         if not top[k] % q:
             for r in range(k + 1, n):
@@ -426,29 +434,53 @@ def _det_mod_q(rows) -> int:
             else:
                 return 0
         pivot = top[k] % q
-        det = det * pivot % q
         neg_inv = q - pow(pivot, -1, q)
+        if k + 2 < n:
+            nxt = a[k + 1]
+            f = nxt[k] * neg_inv % q
+            b = (nxt[k + 1] + f * top[k + 1]) % q
+            if b:
+                det = det * pivot * b % q
+                cols = range(k + 2, n)
+                if f:
+                    for j in cols:
+                        nxt[j] = (nxt[j] + f * top[j]) % q
+                neg_inv_b = q - pow(b, -1, q)
+                top_next = top[k + 1]
+                for i in range(k + 2, n):
+                    row = a[i]
+                    f1 = row[k] * neg_inv % q
+                    f2 = (row[k + 1] + f1 * top_next) * neg_inv_b % q
+                    if f1 or f2:
+                        for j in cols:
+                            row[j] = (row[j] + f1 * top[j] + f2 * nxt[j]) % q
+                k += 2
+                continue
+        det = det * pivot % q
         for i in range(k + 1, n):
             row = a[i]
             f = row[k] * neg_inv % q
             if f:
                 for j in range(k + 1, n):
                     row[j] = (row[j] + f * top[j]) % q
+        k += 1
     return det * a[-1][-1] % q
 
 
 def _eliminate(a, i, j, modulus) -> None:
     """_smith_mod's unit step.  Pop row i and column j of the rows a, whose
     entry there is a unit mod modulus; each other row takes one
-    multiply-subtract of the pivot row mod modulus, which clears its column-j
-    entry, so a ends as the Schur complement."""
+    multiply-subtract of the pivot row mod modulus, in place, which clears
+    its column-j entry, so a ends as the Schur complement."""
     top = a.pop(i)
     pivot = top.pop(j)
     inv = pow(pivot, -1, modulus)
-    for r, row in enumerate(a):
+    cols = range(len(top))
+    for row in a:
         f = row.pop(j) * inv % modulus
         if f:
-            a[r] = [(x - f * y) % modulus for x, y in zip(row, top)]
+            for t in cols:
+                row[t] = (row[t] - f * top[t]) % modulus
 
 
 def _smith_mod(a, modulus) -> list:
@@ -633,12 +665,23 @@ def _bareiss(rows) -> tuple:
     by Sylvester's identity each minor is prev times an (n-1)-minor of m (at
     n = 3 every 2-minor, so g = D_2).  At n = 2, g is the gcd of the four
     entries, the 1-minors; at n = 1 it is 1.
+
+    A pass takes two columns, Bareiss's two-step elimination (Bareiss 1968),
+    when the pivot p = a[k][c] has a column c + 1 beside it, c != n - 4 (so
+    that column n - 3 is still reached as a stage of its own), and
+    c0 = p * a[k+1][c+1] - a[k][c+1] * a[k+1][c], which is prev times the
+    next pivot, is nonzero: each row below row k + 1 takes the bordered
+    3 x 3 minor, c0 * row + c1 * top + c2 * next over prev^2 in one pass,
+    from row k + 1's entries before its own one-step update.  Otherwise the
+    pass takes column c alone.  The pivots, swaps and so (r, N, g) are those
+    of the one-column passes.
     """
     n = len(rows)
     a = [list(row) for row in rows]
     k, sign, prev = 0, 1, 1
     g = gcd(*rows[0], *rows[1]) if n == 2 else 1
-    for c in range(n):
+    c = 0
+    while c < n:
         top = a[k]
         if c == n - 3 and k == c:
             x0, x1, x2 = top[c:]
@@ -657,8 +700,29 @@ def _bareiss(rows) -> tuple:
                     sign = -sign
                     break
             else:
+                c += 1
                 continue  # a zero column below row k: no pivot
         p = top[c]
+        if c + 1 < n and c != n - 4:
+            nxt = a[k + 1]
+            u, v, w = top[c + 1], nxt[c], nxt[c + 1]
+            c0 = p * w - u * v
+            if c0:
+                cols = range(c + 2, n)
+                prev2 = prev * prev
+                for i in range(k + 2, n):
+                    row = a[i]
+                    x, y = row[c], row[c + 1]
+                    c1 = v * y - w * x
+                    c2 = x * u - p * y
+                    for j in cols:
+                        row[j] = (c0 * row[j] + c1 * top[j] + c2 * nxt[j]) // prev2
+                for j in range(c + 1, n):
+                    nxt[j] = (nxt[j] * p - v * top[j]) // prev
+                prev = c0 // prev
+                k += 2
+                c += 2
+                continue
         for i in range(k + 1, n):
             row = a[i]
             f = row[c]
@@ -666,6 +730,7 @@ def _bareiss(rows) -> tuple:
                 row[j] = (row[j] * p - f * top[j]) // prev
         prev = p
         k += 1
+        c += 1
     return k, sign * prev, g
 
 

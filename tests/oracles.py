@@ -1,7 +1,7 @@
 """Arithmetic that only the tests' oracles need, on the package's value types
 but not part of them."""
 
-from math import prod
+from math import gcd, prod
 
 from afcurves.elliptic import CurveQ, Point, add_points
 from afcurves.exact_linalg import IntMatrix, IntPolynomial, determinantal_divisors
@@ -106,3 +106,74 @@ def order_up_to(e: CurveQ, p: Point):
         if acc.x.denominator != 1 or acc.y.denominator != 1:
             return None
     return None
+
+
+def bareiss_one_column(rows) -> tuple:
+    """(r, N, g) as exact_linalg._bareiss gives them, by its one column a
+    pass form: each pivot step takes every row below it once, over the pivot
+    before.  The oracle for the two-column passes, which must give the same
+    pivots and so the same triple."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    k, sign, prev = 0, 1, 1
+    g = gcd(*rows[0], *rows[1]) if n == 2 else 1
+    for c in range(n):
+        top = a[k]
+        if c == n - 3 and k == c:
+            x0, x1, x2 = top[c:]
+            y0, y1, y2 = a[c + 1][c:]
+            z0, z1, z2 = a[c + 2][c:]
+            g = gcd(
+                x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x1 * y2 - x2 * y1,
+                x0 * z1 - x1 * z0, x0 * z2 - x2 * z0, x1 * z2 - x2 * z1,
+                y0 * z1 - y1 * z0, y0 * z2 - y2 * z0, y1 * z2 - y2 * z1,
+            ) // abs(prev)
+        if not top[c]:
+            for r in range(k + 1, n):
+                if a[r][c]:
+                    a[k], a[r] = a[r], top
+                    top = a[k]
+                    sign = -sign
+                    break
+            else:
+                continue  # a zero column below row k: no pivot
+        p = top[c]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+        k += 1
+    return k, sign * prev, g
+
+
+def det_mod_q_one_column(rows, q: int) -> int:
+    """det mod q of the square rows, q prime, as exact_linalg._det_mod_q
+    gives it, by its one column a pass form: entries reduced where read, a
+    pivot nonzero mod q swapped up, each row below adding f = -its entry /
+    pivot times the pivot row.  The oracle for the two-column passes."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    det = 1
+    for k in range(n - 1):
+        top = a[k]
+        if not top[k] % q:
+            for r in range(k + 1, n):
+                if a[r][k] % q:
+                    a[k], a[r] = a[r], top
+                    top = a[k]
+                    det = q - det  # det is a nonzero residue here
+                    break
+            else:
+                return 0
+        pivot = top[k] % q
+        det = det * pivot % q
+        neg_inv = q - pow(pivot, -1, q)
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k] * neg_inv % q
+            if f:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] + f * top[j]) % q
+    return det * a[-1][-1] % q

@@ -128,6 +128,17 @@ class TestLegendreToWeierstrass:
         assert e.disc != 0
         assert e.j_invariant() == 1728
 
+    def test_the_smallest_denominator_past_the_step_cap_is_refused(self, wall_bound):
+        # 3d > 2^44 = _STEP_CAP^2 first at d = 5,864,062,014,806; the refusal
+        # comes before _divisors, whose search would take ~2^22 steps
+        d = 5_864_062_014_806
+        assert 3 * (d - 1) <= elliptic._STEP_CAP**2 == 2**44 < 3 * d
+        with wall_bound(0.05), pytest.raises(
+            BudgetExceeded,
+            match=r"^denominator of lambda = 1/5864062014806 over 4194304\^2 / 3$",
+        ):
+            legendre_model(Fraction(1, d))
+
     @given(legendre_params())
     @settings(max_examples=60)
     def test_model_is_integral_with_matching_j(self, lam):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -34,7 +35,14 @@ from afcurves.exact_linalg import (
     trace_power,
     unimodular_inverse,
 )
-from oracles import diagonal_from_minors, mat_sum, poly_mul, smith_chain_matches
+from oracles import (
+    bareiss_one_column,
+    det_mod_q_one_column,
+    diagonal_from_minors,
+    mat_sum,
+    poly_mul,
+    smith_chain_matches,
+)
 
 A_STD = IntMatrix([[5, 2], [2, 1]])
 
@@ -607,11 +615,11 @@ def wide_entries():
 
 
 @st.composite
-def det_mod_q_inputs(draw):
-    """swap_forcing over wide entries and n <= 6; half of those with n >= 2
-    are made singular, one row a multiple of another (the multiple 0
+def det_mod_q_inputs(draw, max_n=6):
+    """swap_forcing over wide entries and n <= max_n; half of those with
+    n >= 2 are made singular, one row a multiple of another (the multiple 0
     included)."""
-    matrices = st.integers(1, 6).flatmap(
+    matrices = st.integers(1, max_n).flatmap(
         lambda n: st.lists(
             st.lists(wide_entries(), min_size=n, max_size=n), min_size=n, max_size=n
         ).map(IntMatrix)
@@ -660,6 +668,94 @@ class TestDetModQ:
         # entries k * q + r with small k and r: many are 0 mod q, few are 0
         rows = [[k * Q + r for k, r in row] for row in pairs]
         assert exact_linalg._det_mod_q(rows) == determinant(IntMatrix(rows)) % Q
+
+
+class TestTwoColumnPasses:
+    """_bareiss and _det_mod_q take two columns a pass where the second
+    pivot is nonzero; the one column a pass forms in tests/oracles.py take
+    the same pivots, so the triple and the residue must match them exactly.
+    Each named example takes the branch its comment gives."""
+
+    @settings(max_examples=300)
+    @given(swap_forcing(square_matrices(max_n=9, max_entry=9)))
+    # c0 = 0 with a[0][0] != 0: the leading 2 x 2 minor is 0, so column 0
+    # takes one step and column 1 swaps
+    @example(IntMatrix([
+        [1, 2, 3, 1, 2, 4, 1], [2, 4, 1, 5, 3, 1, 2], [3, 1, 2, 6, 1, 2, 5],
+        [1, 1, 1, 7, 2, 3, 1], [2, 3, 5, 1, 4, 1, 2], [5, 1, 2, 3, 1, 6, 2],
+        [1, 2, 4, 1, 3, 2, 7],
+    ]))
+    # one step at c = n - 4, so that column n - 3 is a stage of its own
+    @example(IntMatrix([[2, 1, 3, 1], [1, 3, 2, 4], [3, 2, 5, 1], [1, 4, 1, 3]]))
+    @example(IntMatrix([
+        [1, 2, 3, 1, 2], [2, 4, 1, 5, 3], [3, 1, 2, 6, 1], [1, 1, 1, 7, 2],
+        [2, 3, 5, 1, 4],
+    ]))
+    @example(IntMatrix([
+        [2, 1, 3, 1, 4, 1], [1, 3, 2, 4, 1, 2], [3, 2, 5, 1, 2, 3],
+        [1, 4, 1, 3, 2, 5], [2, 1, 1, 2, 3, 1], [4, 2, 1, 1, 1, 3],
+    ]))
+    # column 2 = column 0 + column 1: a zero column right after a two-column pass
+    @example(IntMatrix([
+        [1, 2, 3, 4, 1], [3, 1, 4, 1, 5], [2, 7, 9, 2, 6], [5, 3, 8, 9, 7],
+        [4, 6, 10, 2, 3],
+    ]))
+    # rank 4: row 4 = row 0 + 2 * row 1
+    @example(IntMatrix([
+        [1, 2, 3, 4, 1], [3, 1, 4, 1, 5], [2, 7, 1, 8, 2], [5, 3, 8, 9, 7],
+        [7, 4, 11, 6, 11],
+    ]))
+    def test_bareiss_matches_the_one_column_passes(self, m):
+        rows = [list(row) for row in m.rows]
+        assert exact_linalg._bareiss(rows) == bareiss_one_column(rows)
+        assert rows == [list(row) for row in m.rows]  # read, not changed
+
+    @settings(max_examples=300)
+    @given(det_mod_q_inputs(max_n=9))
+    # the second F_q pivot, (1 + Q) - 1 = Q, is 0 mod q but not 0: column 0
+    # takes one step and column 1 swaps
+    @example(IntMatrix([[1, 1, 2, 3], [1, 1 + Q, 3, 1], [2, 5, 7, 2], [3, 1, 4, 6]]))
+    def test_det_mod_q_matches_the_one_column_passes(self, m):
+        rows = [list(row) for row in m.rows]
+        assert exact_linalg._det_mod_q(rows) == det_mod_q_one_column(rows, Q)
+        assert rows == [list(row) for row in m.rows]  # read, not changed
+
+
+# one route of _smith_diagonal each: gcd(g, det) = 1, gcd(g, det) > 1, det = 0
+READ_NOT_CHANGED_ROUTES = {
+    "h=1": [[2, 1, 3, 1], [1, 3, 2, 4], [3, 2, 5, 1], [1, 4, 1, 4]],
+    "h>1": [[2, 1, 3, 1], [1, 3, 2, 4], [3, 2, 5, 1], [1, 4, 1, 3]],
+    "singular": [
+        [1, 2, 3, 4, 1], [3, 1, 4, 1, 5], [2, 7, 1, 8, 2], [5, 3, 8, 9, 7],
+        [7, 4, 11, 6, 11],
+    ],
+}
+
+
+@pytest.mark.parametrize("route", READ_NOT_CHANGED_ROUTES)
+def test_the_smith_diagonal_kernels_read_their_rows_without_changing_them(
+    monkeypatch, route
+):
+    # _eliminate writes _smith_mod's rows in place, so each kernel must work
+    # on a copy of the rows it is given; the h > 1 and singular routes reach it
+    rows = READ_NOT_CHANGED_ROUTES[route]
+    before = copy.deepcopy(rows)
+    steps, eliminate = [], exact_linalg._eliminate
+
+    def counted(a, i, j, modulus):
+        steps.append((i, j))
+        eliminate(a, i, j, modulus)
+
+    monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+    rank, minor, g = exact_linalg._bareiss(rows)
+    h = gcd(g, minor) if rank == len(rows) else abs(minor)
+    assert route == ("singular" if rank < len(rows) else "h=1" if h == 1 else "h>1")
+    assert rows == before
+    exact_linalg._smith_mod(rows, h)
+    assert rows == before
+    assert exact_linalg._smith_diagonal(rows) == snf(IntMatrix(rows)).d
+    assert rows == before
+    assert bool(steps) == (route != "h=1")
 
 
 def test_smith_chain_rule_matches_its_comprehension_form():
